@@ -2,8 +2,10 @@
 
 Verbs: compose, eval, coproduct, primitives, dims, verify, envelope.
 Exit status: 0 success (and verification with no defects), 1 defects
-found, 2 usage or parse errors.  Output is deterministic; --output json
-wraps every result as {"command":..., "result":..., "defects": [...]}.
+found, 2 usage, parse or input errors (including unreadable files), 3
+internal error (an unexpected exception; a bug, reported on one line).
+Output is deterministic; --output json wraps every result as
+{"command":..., "result":..., "defects": [...]}.
 """
 
 import argparse
@@ -100,6 +102,25 @@ def cmd_envelope(args):
     return report, bad
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        return value
+
+    return parse
+
+
+POSITIVE = _int_at_least(1)
+NONNEGATIVE = _int_at_least(0)
+
+
 def _print_text(result, defects, stream):
     for key, value in result.items():
         if isinstance(value, (dict, list)):
@@ -140,24 +161,24 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_coproduct)
 
     p = add_parser("primitives", help="primitive basis of a graded slice")
-    p.add_argument("--gens", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--gens", type=POSITIVE, required=True)
+    p.add_argument("--degree", type=POSITIVE, required=True)
     p.set_defaults(func=cmd_primitives)
 
     p = add_parser("dims", help="free algebra and primitive dimensions")
-    p.add_argument("--gens", type=int, required=True)
-    p.add_argument("--upto", type=int, required=True)
+    p.add_argument("--gens", type=POSITIVE, required=True)
+    p.add_argument("--upto", type=POSITIVE, required=True)
     p.set_defaults(func=cmd_dims)
 
     p = add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=POSITIVE, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = add_parser("envelope", help="envelope of a brace structure from JSON")
     p.add_argument("--brace", required=True, help="BraceStructure JSON file")
-    p.add_argument("--bound", type=int, default=4)
-    p.add_argument("--slack", type=int, default=1)
+    p.add_argument("--bound", type=POSITIVE, default=4)
+    p.add_argument("--slack", type=NONNEGATIVE, default=1)
     p.set_defaults(func=cmd_envelope)
 
     try:
@@ -167,9 +188,14 @@ def main(argv=None) -> int:
 
     try:
         result, defects = args.func(args)
-    except (ParseError, DuplicateLabelError, ExprError, env.BraceError, KeyError, ValueError) as exc:
+    except (
+        ParseError, DuplicateLabelError, ExprError, env.BraceError, KeyError, ValueError, OSError
+    ) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except Exception as exc:
+        sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
+        return 3
 
     if getattr(args, "output_sub", None):
         args.output = args.output_sub

@@ -34,6 +34,11 @@ class BraceError(ValueError):
     pass
 
 
+def _check_index(i, dim, what):
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < dim:
+        raise BraceError("%s index %r is outside range(%d)" % (what, i, dim))
+
+
 class BraceStructure:
     """Finite-dimensional brace algebra by structure constants.
 
@@ -44,19 +49,31 @@ class BraceStructure:
     """
 
     def __init__(self, dim, basis, max_arity, products, weights=None, weight_bound=None):
-        assert dim == len(basis) and len(set(basis)) == dim
+        if dim != len(basis):
+            raise BraceError("dim is %r but the basis has %d entries" % (dim, len(basis)))
+        if len(set(basis)) != dim:
+            raise BraceError("the basis has a duplicate entry")
         self.dim = dim
         self.basis = list(basis)
         self.max_arity = max_arity
         self.products = {}
         for (root, args), value in products.items():
             args = tuple(args)
-            assert len(args) >= 1
+            if not args:
+                raise BraceError("a product of root %r has empty args" % (root,))
+            _check_index(root, dim, "root")
+            for j in args:
+                _check_index(j, dim, "arg")
             value = value if isinstance(value, LinComb) else LinComb(value)
+            for i in value.terms:
+                _check_index(i, dim, "value")
             if value:
                 self.products[(root, args)] = value
         self.weights = list(weights) if weights else [1] * dim
-        assert len(self.weights) == dim and all(w >= 1 for w in self.weights)
+        if len(self.weights) != dim or not all(
+            isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in self.weights
+        ):
+            raise BraceError("weights must be a list of %d integers >= 1, got %r" % (dim, self.weights))
         self.weight_bound = weight_bound
 
     def is_trivial(self) -> bool:
@@ -119,19 +136,24 @@ class BraceStructure:
 
     @classmethod
     def from_json(cls, data) -> "BraceStructure":
-        products = {}
-        for entry in data.get("products", []):
-            value = LinComb(
-                (item["index"], rat(item["coeff"])) for item in entry["value"]
+        """Parse and validate; any malformed input raises BraceError
+        (missing keys raise KeyError)."""
+        try:
+            products = {}
+            for entry in data.get("products", []):
+                value = LinComb(
+                    (item["index"], rat(item["coeff"])) for item in entry["value"]
+                )
+                products[(entry["root"], tuple(entry["args"]))] = value
+            return cls(
+                data["dim"],
+                data["basis"],
+                data["max_arity"],
+                products,
+                weights=data.get("weights"),
             )
-            products[(entry["root"], tuple(entry["args"]))] = value
-        return cls(
-            data["dim"],
-            data["basis"],
-            data["max_arity"],
-            products,
-            weights=data.get("weights"),
-        )
+        except (TypeError, AttributeError, ZeroDivisionError) as exc:
+            raise BraceError("malformed brace JSON: %s" % exc) from None
 
     @classmethod
     def load(cls, path) -> "BraceStructure":

@@ -2,8 +2,8 @@
 
 Every coefficient in the system is a ``fractions.Fraction`` (arbitrary
 precision, always reduced, positive denominator).  Matrices are dense;
-the elimination itself runs on integer rows through ``_kernel`` after
-clearing denominators.
+after clearing denominators, every elimination runs on integer rows in
+the pure-Python kernel ``treealg._kernel``.
 """
 
 from bisect import bisect
@@ -250,12 +250,6 @@ class EchelonSpan:
     @property
     def rank(self):
         return len(self.rows)
-
-    def clone(self):
-        other = EchelonSpan(self.ncols)
-        other.rows = [list(r) for r in self.rows]
-        other.pivots = list(self.pivots)
-        return other
 
     def residual(self, vec):
         """Normalized integer remainder of vec after elimination."""

@@ -262,26 +262,6 @@ def relabel_element(e: DendElement, mapping) -> DendElement:
     return DendElement(e.unit, e.body.map_keys(lambda t: t.relabel(mapping)))
 
 
-def compose_multilinear(f: DendElement, arity_f: int, i: int, g: DendElement, arity_g: int) -> DendElement:
-    """Operadic partial composition through substitute-and-evaluate:
-    slot i of f receives g; labels renumber to 1..(arity_f+arity_g-1)."""
-    assert 1 <= i <= arity_f
-    shift = {str(j): str(j + arity_g - 1) for j in range(i + 1, arity_f + 1)}
-    g_shift = {str(j): str(j + i - 1) for j in range(1, arity_g + 1)}
-    g2 = relabel_element(g, g_shift)
-    assign = {}
-    for j in range(1, arity_f + 1):
-        if j == i:
-            assign[str(j)] = g2
-        else:
-            lab = shift.get(str(j), str(j))
-            assign[str(j)] = DendElement.generator(lab)
-    out = DendElement()
-    for t, c in f.body.terms.items():
-        out = out + eval_pbt(t, assign).scale(c)
-    return out
-
-
 def _graft(outer: DendElement, slot, inner: DendElement) -> DendElement:
     """Evaluate outer with `slot` bound to inner and all other letters
     kept as generators."""

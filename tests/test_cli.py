@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
+from treealg import cli
 from treealg.cli import main
 
 
@@ -123,3 +127,97 @@ def test_envelope_invalid_brace(tmp_path):
     code, out, _ = run_cli(["envelope", "--brace", str(path), "--bound", "3"])
     assert code == 1
     assert "defect" in out
+
+
+def _brace(**changes):
+    doc = {"dim": 1, "basis": ["a"], "max_arity": 4, "products": []}
+    doc.update(changes)
+    return doc
+
+
+def _product(root=0, args=(0,), index=0):
+    return {"root": root, "args": list(args), "value": [{"coeff": "1", "index": index}]}
+
+
+BAD_BRACES = {
+    "dim-mismatch": _brace(dim=2),
+    "duplicate-basis": _brace(dim=2, basis=["a", "a"]),
+    "empty-args": _brace(products=[_product(args=())]),
+    "weights-length": _brace(weights=[1, 2]),
+    "weights-below-1": _brace(weights=[0]),
+    "root-out-of-range": _brace(products=[_product(root=-1)]),
+    "arg-out-of-range": _brace(products=[_product(args=(5,))]),
+    "value-out-of-range": _brace(products=[_product(index=1)]),
+    "not-an-object": [1, 2],
+}
+
+BAD_ARGS = [
+    ["dims", "--gens", "-1", "--upto", "3"],
+    ["dims", "--gens", "1", "--upto", "0"],
+    ["primitives", "--gens", "1", "--degree", "-2"],
+    ["primitives", "--gens", "0", "--degree", "2"],
+    ["verify", "--suite", "axioms", "--bound", "0"],
+    ["envelope", "--brace", "unused.json", "--bound", "0"],
+    ["envelope", "--brace", "unused.json", "--slack", "-1"],
+    ["envelope", "--brace", "/nonexistent/brace.json"],
+]
+
+
+def _bad_inputs(tmp_path):
+    cases = [list(argv) for argv in BAD_ARGS]
+    for name, doc in BAD_BRACES.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(doc))
+        cases.append(["envelope", "--brace", str(path), "--bound", "2"])
+    return cases
+
+
+def _assert_usage_error(argv, code, err):
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert code == 2, (argv, code, err)
+    assert len(lines) == 1 and "Traceback" not in err, (argv, err)
+
+
+def test_bad_inputs_exit_2(tmp_path):
+    for argv in _bad_inputs(tmp_path):
+        code, _, err = run_cli(argv)
+        _assert_usage_error(argv, code, err)
+
+
+OPTIMIZED_RUNNER = """
+import io, json, sys
+from treealg.cli import main
+assert False, "this runner must run under python -O"
+results = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    code = main(argv)
+    results.append([code, sys.stderr.getvalue()])
+sys.stdout = sys.__stdout__
+print(json.dumps(results))
+"""
+
+
+def test_bad_inputs_exit_2_under_optimize(tmp_path):
+    cases = _bad_inputs(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RUNNER, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    for argv, (code, err) in zip(cases, json.loads(out.stdout)):
+        _assert_usage_error(argv, code, err)
+
+
+def test_unexpected_exception_exit_3(monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_eval", boom)
+    code, out, err = run_cli(["eval", "--expr", "a"])
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
