@@ -14,11 +14,11 @@ import sys
 
 from treealg.linalg import LinComb
 from treealg.trees import DuplicateLabelError, ParseError, parse_planar, parse_rooted
-from treealg.dendriform import ExprError, parse_expr
+from treealg.dendriform import ExprError, UnitProductError, parse_expr
 from treealg import operads
 from treealg import bialgebra
 from treealg import envelope as env
-from treealg.suites import SUITES, run_suite
+from treealg.suites import SUITES, SuiteError, run_suite
 
 
 def _combo_str(combo: LinComb) -> str:
@@ -189,7 +189,13 @@ def main(argv=None) -> int:
     try:
         result, defects = args.func(args)
     except (
-        ParseError, DuplicateLabelError, ExprError, env.BraceError, KeyError, ValueError, OSError
+        ParseError,
+        DuplicateLabelError,
+        ExprError,
+        UnitProductError,
+        env.BraceError,
+        SuiteError,
+        OSError,
     ) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

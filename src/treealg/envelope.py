@@ -12,6 +12,7 @@ of the free brace match the free dendriform dimensions.
 """
 
 import json
+import math
 from itertools import product
 
 from treealg.linalg import LinComb, rat, rat_str
@@ -34,6 +35,10 @@ class BraceError(ValueError):
     pass
 
 
+class HarvestError(RuntimeError):
+    """A harvested brace value is not a combination of the primitives."""
+
+
 def _check_index(i, dim, what):
     if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < dim:
         raise BraceError("%s index %r is outside range(%d)" % (what, i, dim))
@@ -48,14 +53,15 @@ class BraceStructure:
     of total weight beyond it are unknown and raise on access.
     """
 
-    def __init__(self, dim, basis, max_arity, products, weights=None, weight_bound=None):
+    def __init__(self, dim, basis, products, weights=None, weight_bound=None):
         if dim != len(basis):
             raise BraceError("dim is %r but the basis has %d entries" % (dim, len(basis)))
+        if not all(isinstance(name, str) for name in basis):
+            raise BraceError("basis entries must be strings, got %r" % (basis,))
         if len(set(basis)) != dim:
             raise BraceError("the basis has a duplicate entry")
         self.dim = dim
         self.basis = list(basis)
-        self.max_arity = max_arity
         self.products = {}
         for (root, args), value in products.items():
             args = tuple(args)
@@ -127,7 +133,6 @@ class BraceStructure:
         out = {
             "dim": self.dim,
             "basis": self.basis,
-            "max_arity": self.max_arity,
             "products": prods,
         }
         if any(w != 1 for w in self.weights):
@@ -136,8 +141,9 @@ class BraceStructure:
 
     @classmethod
     def from_json(cls, data) -> "BraceStructure":
-        """Parse and validate; any malformed input raises BraceError
-        (missing keys raise KeyError)."""
+        """Parse and validate; any malformed input, a missing key or a
+        coefficient that is not a rational included, raises BraceError.
+        Keys other than dim, basis, products and weights are ignored."""
         try:
             products = {}
             for entry in data.get("products", []):
@@ -145,26 +151,60 @@ class BraceStructure:
                     (item["index"], rat(item["coeff"])) for item in entry["value"]
                 )
                 products[(entry["root"], tuple(entry["args"]))] = value
-            return cls(
-                data["dim"],
-                data["basis"],
-                data["max_arity"],
-                products,
-                weights=data.get("weights"),
-            )
-        except (TypeError, AttributeError, ZeroDivisionError) as exc:
+            return cls(data["dim"], data["basis"], products, weights=data.get("weights"))
+        except BraceError:
+            raise
+        except KeyError as exc:
+            raise BraceError("malformed brace JSON: missing key %s" % exc) from None
+        except (TypeError, AttributeError, ValueError, ArithmeticError) as exc:
             raise BraceError("malformed brace JSON: %s" % exc) from None
 
     @classmethod
     def load(cls, path) -> "BraceStructure":
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise BraceError("%s is not a JSON file: %s" % (path, exc)) from None
+        return cls.from_json(data)
 
 
-def trivial_brace(dim, max_arity=6, basis=None) -> BraceStructure:
+def trivial_brace(dim, basis=None) -> BraceStructure:
     if basis is None:
         basis = [chr(ord("a") + i) for i in range(dim)]
-    return BraceStructure(dim, basis, max_arity, {})
+    return BraceStructure(dim, basis, {})
+
+
+def weighted_tuples(weights, length, bound):
+    """Index tuples t of the given length over range(len(weights)) with
+    sum(weights[i] for i in t) <= bound.
+
+    They come in the lexicographic order of
+    itertools.product(range(len(weights)), repeat=length), of which
+    they are exactly the tuples within the bound.  The walk is
+    depth-first and extends a prefix only while its lightest completion
+    still fits, so every prefix visited leads to a tuple yielded.
+    bound may be math.inf; a negative bound yields nothing.
+    """
+    if length == 0:
+        if bound >= 0:
+            yield ()
+        return
+    if not weights:
+        return
+    lightest = min(weights)
+
+    def extend(prefix, left, room):
+        # index i fits if w_i plus the lightest completion is within room
+        fits = room - (left - 1) * lightest
+        for i, w in enumerate(weights):
+            if w <= fits:
+                if left == 1:
+                    yield prefix + (i,)
+                else:
+                    yield from extend(prefix + (i,), left - 1, room - w)
+
+    yield from extend((), length, bound)
 
 
 def validate_brace(b: BraceStructure, arity_bound: int):
@@ -172,19 +212,17 @@ def validate_brace(b: BraceStructure, arity_bound: int):
     n+m+1 <= arity_bound; returns the list of defects (empty = valid).
 
     Tuples whose total weight exceeds a declared weight_bound are
-    outside the structure's authority and are skipped.
+    outside the structure's authority and are not visited.
     """
     defects = []
-    idx = range(b.dim)
+    limit = math.inf if b.weight_bound is None else b.weight_bound
     for n in range(1, arity_bound):
         for m in range(1, arity_bound - n):
-            for z in idx:
-                for xs in product(idx, repeat=n):
-                    for ys in product(idx, repeat=m):
-                        if b.weight_bound is not None:
-                            w = b.weights[z] + sum(b.weights[j] for j in xs + ys)
-                            if w > b.weight_bound:
-                                continue
+            for z in range(b.dim):
+                room = limit - b.weights[z]
+                for xs in weighted_tuples(b.weights, n, room):
+                    rest = room - sum(b.weights[j] for j in xs)
+                    for ys in weighted_tuples(b.weights, m, rest):
                         lhs = b.brace_multi(b.brace(z, xs), [LinComb.single(y) for y in ys])
                         rhs = LinComb()
                         for blocks in _interval_partitions(list(ys), 2 * n + 1):
@@ -226,23 +264,21 @@ def _interval_partitions(items, k):
 
 def relation_generators(b: BraceStructure, degree_bound: int):
     """Ideal generators: corolla image minus structure-constant value,
-    for every basis tuple of total weight <= degree_bound.
+    for every basis tuple (root, args...) of total weight <= degree_bound
+    (and <= the structure's weight_bound), visited by weighted_tuples in
+    product order, arity by arity, up to the first arity with none.
 
     Includes arity 2 (identifying x<y - y>x with {x|y}); without it a
     trivial brace envelope would be the whole free algebra in degree 2.
     """
-    assert degree_bound >= 2
+    if degree_bound < 2:
+        raise BraceError("relation generators need a degree bound >= 2, got %r" % (degree_bound,))
+    limit = degree_bound if b.weight_bound is None else min(degree_bound, b.weight_bound)
     gens = []
     letters = [DendElement.generator(name) for name in b.basis]
-    idx = range(b.dim)
     for arity in range(2, degree_bound + 1):
         found = False
-        for tup in product(idx, repeat=arity):
-            w = b.weights[tup[0]] + sum(b.weights[j] for j in tup[1:])
-            if w > degree_bound:
-                continue
-            if b.weight_bound is not None and w > b.weight_bound:
-                continue
+        for tup in weighted_tuples(b.weights, arity, limit):
             found = True
             value = b.brace(tup[0], tup[1:])
             low = DendElement()
@@ -348,7 +384,10 @@ def build_envelope(b: BraceStructure, bound: int, slack: int = 1) -> TruncatedQu
     stability flag is set.  Otherwise dimensions are compared against a
     slack+1 run; instability marks the report untrusted.
     """
-    assert bound >= 1 and slack >= 0
+    if bound < 1 or slack < 0:
+        raise BraceError(
+            "an envelope needs bound >= 1 and slack >= 0, got %r and %r" % (bound, slack)
+        )
     letters = b.letters()
     alphabet = list(letters)
     weights = letters
@@ -447,14 +486,9 @@ def _structure_roundtrip(q: TruncatedQuotient, prim_elems) -> dict:
         if lhs != q.reduce(rhs):
             product_defects.append({"root": root, "args": list(args)})
     # zero products within reach must reduce to zero as well
-    idx = range(b.dim)
+    limit = q.bound if b.weight_bound is None else min(q.bound, b.weight_bound)
     for arity in range(2, q.bound + 1):
-        for tup in product(idx, repeat=arity):
-            w = b.weights[tup[0]] + sum(b.weights[j] for j in tup[1:])
-            if w > q.bound:
-                continue
-            if b.weight_bound is not None and w > b.weight_bound:
-                continue
+        for tup in weighted_tuples(b.weights, arity, limit):
             if (tup[0], tup[1:]) in b.products:
                 continue
             lhs = q.reduce(psi_corolla([letters[j] for j in tup]))
@@ -471,6 +505,8 @@ def harvest_brace(n_gens: int, max_degree: int):
     """Brace structure on the primitives of the free algebra on n_gens
     generators, up to the degree bound; weights are primitive degrees.
 
+    For each root, and each arity, the argument tuples within the weight
+    left by the root come from weighted_tuples in product order.
     Returns (BraceStructure, primitive elements in basis order)."""
     alphabet = [chr(ord("a") + i) for i in range(n_gens)]
     prims = []
@@ -488,24 +524,22 @@ def harvest_brace(n_gens: int, max_degree: int):
     for p in prims:
         terms = sorted(p.body.terms.items(), key=lambda kv: pbt_expr(kv[0]))
         pivots.append(terms[0][0])
-        assert terms[0][1] == 1
+        if terms[0][1] != 1:
+            raise HarvestError("primitive %s is not monic at its pivot" % p)
 
     def express(e: DendElement) -> LinComb:
         coords = LinComb((i, e.body.coeff(pivots[i])) for i in range(len(prims)))
         rest = e
         for i, c in coords.terms.items():
             rest = rest - prims[i].scale(c)
-        assert rest.is_zero(), "value escaped the primitive span"
+        if not rest.is_zero():
+            raise HarvestError("value %s escaped the primitive span" % e)
         return coords
 
     products = {}
-    idx = range(len(prims))
-    for root in idx:
+    for root in range(len(prims)):
         for arity in range(2, max_degree + 1):
-            for args in product(idx, repeat=arity - 1):
-                w = weights[root] + sum(weights[j] for j in args)
-                if w > max_degree:
-                    continue
+            for args in weighted_tuples(weights, arity - 1, max_degree - weights[root]):
                 value = psi_corolla([prims[root]] + [prims[j] for j in args])
                 coords = express(value)
                 if coords:
@@ -513,7 +547,6 @@ def harvest_brace(n_gens: int, max_degree: int):
     b = BraceStructure(
         len(prims),
         names,
-        max_degree,
         products,
         weights=weights,
         weight_bound=max_degree,
@@ -578,9 +611,7 @@ def theta_roundtrip(n_gens: int, bound: int, slack: int = 0) -> dict:
 
     intertwined = True
     for length in range(1, bound + 1):
-        for tup in product(range(b.dim), repeat=length):
-            if sum(b.weights[i] for i in tup) > bound:
-                continue
+        for tup in weighted_tuples(b.weights, length, bound):
             u = upcomb([DendElement.generator(b.basis[i]) for i in tup])
             lhs = coproduct(theta(q.reduce(u)))
             rhs = q.coproduct(u).map_legs(theta_leg, theta_leg)

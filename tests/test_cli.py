@@ -5,8 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from treealg import cli
 from treealg.cli import main
+from treealg.suites import SUITES, SuiteError, run_suite
 
 
 def run_cli(argv):
@@ -97,7 +100,7 @@ def test_output_flag_after_subcommand():
 def test_envelope_command(tmp_path):
     path = tmp_path / "trivial.json"
     path.write_text(
-        json.dumps({"dim": 1, "basis": ["a"], "max_arity": 4, "products": []})
+        json.dumps({"dim": 1, "basis": ["a"], "products": []})
     )
     code, out, _ = run_cli(
         ["--output", "json", "envelope", "--brace", str(path), "--bound", "3"]
@@ -116,7 +119,6 @@ def test_envelope_invalid_brace(tmp_path):
             {
                 "dim": 1,
                 "basis": ["b"],
-                "max_arity": 4,
                 "products": [
                     {"root": 0, "args": [0], "value": [{"coeff": "1", "index": 0}]},
                     {"root": 0, "args": [0, 0], "value": [{"coeff": "1", "index": 0}]},
@@ -130,7 +132,7 @@ def test_envelope_invalid_brace(tmp_path):
 
 
 def _brace(**changes):
-    doc = {"dim": 1, "basis": ["a"], "max_arity": 4, "products": []}
+    doc = {"dim": 1, "basis": ["a"], "products": []}
     doc.update(changes)
     return doc
 
@@ -142,6 +144,7 @@ def _product(root=0, args=(0,), index=0):
 BAD_BRACES = {
     "dim-mismatch": _brace(dim=2),
     "duplicate-basis": _brace(dim=2, basis=["a", "a"]),
+    "basis-not-strings": _brace(basis=[0]),
     "empty-args": _brace(products=[_product(args=())]),
     "weights-length": _brace(weights=[1, 2]),
     "weights-below-1": _brace(weights=[0]),
@@ -149,6 +152,10 @@ BAD_BRACES = {
     "arg-out-of-range": _brace(products=[_product(args=(5,))]),
     "value-out-of-range": _brace(products=[_product(index=1)]),
     "not-an-object": [1, 2],
+    "missing-key": {"basis": ["a"], "products": []},
+    "bad-coefficient": _brace(
+        products=[{"root": 0, "args": [0], "value": [{"coeff": "abc", "index": 0}]}]
+    ),
 }
 
 BAD_ARGS = [
@@ -160,6 +167,8 @@ BAD_ARGS = [
     ["envelope", "--brace", "unused.json", "--bound", "0"],
     ["envelope", "--brace", "unused.json", "--slack", "-1"],
     ["envelope", "--brace", "/nonexistent/brace.json"],
+    ["eval", "--expr", "1<1"],
+    ["verify", "--suite", "psi-morphism", "--bound", "1"],
 ]
 
 
@@ -169,6 +178,9 @@ def _bad_inputs(tmp_path):
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(doc))
         cases.append(["envelope", "--brace", str(path), "--bound", "2"])
+    path = tmp_path / "not-json.json"
+    path.write_text('{"dim": 1,')
+    cases.append(["envelope", "--brace", str(path), "--bound", "2"])
     return cases
 
 
@@ -182,6 +194,11 @@ def test_bad_inputs_exit_2(tmp_path):
     for argv in _bad_inputs(tmp_path):
         code, _, err = run_cli(argv)
         _assert_usage_error(argv, code, err)
+
+
+def _env_with_src():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 OPTIMIZED_RUNNER = """
@@ -200,13 +217,11 @@ print(json.dumps(results))
 
 def test_bad_inputs_exit_2_under_optimize(tmp_path):
     cases = _bad_inputs(tmp_path)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_RUNNER, json.dumps(cases)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env_with_src(),
         check=True,
     )
     for argv, (code, err) in zip(cases, json.loads(out.stdout)):
@@ -221,3 +236,64 @@ def test_unexpected_exception_exit_3(monkeypatch):
     code, out, err = run_cli(["eval", "--expr", "a"])
     assert code == 3 and out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_internal_key_error_exit_3(monkeypatch):
+    def bug(args):
+        return {}["oops"]
+
+    monkeypatch.setattr(cli, "cmd_eval", bug)
+    code, out, err = run_cli(["eval", "--expr", "a"])
+    assert code == 3 and out == ""
+    assert err == "internal error: KeyError: 'oops'\n"
+
+
+# how many instances of its statement each suite's result says it checked
+CHECKED = {
+    "axioms": lambda r: r["triples"],
+    "brace-relations": lambda r: r["cases"],
+    "psi-morphism": lambda r: r["compositions"],
+    "phi-morphism": lambda r: r["compositions"],
+    "zin-quotient": lambda r: len(r["quotient_dims"]),
+    "shuffle-lemmas": lambda r: r["membership_checks"],
+    "bialgebra": lambda r: r["compat_pairs"],
+    "coprod-mont": lambda r: r["max_n"],
+    "primitives-closed": lambda r: r["brace_checks"],
+    "envelope-trivial": lambda r: len(r["dims_dim1"]) - 1,
+    "envelope-free": lambda r: len(r["dims"]) - 1,
+    "cmm": lambda r: len(r["dims_envelope"]) - 1,
+}
+
+
+def test_every_suite_checks_something_at_its_smallest_bound():
+    assert set(CHECKED) == set(SUITES)
+    for name, (func, _, smallest) in SUITES.items():
+        argv = ["--output", "json", "verify", "--suite", name, "--bound", str(smallest)]
+        code, out, err = run_cli(argv)
+        assert code == 0, (name, err)
+        assert CHECKED[name](json.loads(out)["result"]) > 0, name
+        if smallest > 1:
+            # one below, the suite would check nothing (bound 0 is no bound)
+            assert CHECKED[name](func(smallest - 1)[0]) == 0, name
+
+
+def test_suite_below_its_smallest_bound_exit_2():
+    for name, (_, _, smallest) in SUITES.items():
+        argv = ["verify", "--suite", name, "--bound", str(smallest - 1)]
+        code, _, err = run_cli(argv)
+        _assert_usage_error(argv, code, err)
+        with pytest.raises(SuiteError):
+            run_suite(name, smallest - 1)
+
+
+def test_cmm_under_optimize():
+    argv = ["--output", "json", "verify", "--suite", "cmm", "--bound", "3"]
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "treealg.cli"] + argv,
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)["result"]
+    assert result["dims_envelope"] == [1, 1, 2, 5] and result["intertwined"]

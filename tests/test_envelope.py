@@ -13,9 +13,11 @@ from treealg.dendriform import (
 )
 from treealg.bialgebra import TensorSquareElement
 from treealg import words
+from treealg import envelope
 from treealg.envelope import (
     BraceError,
     BraceStructure,
+    HarvestError,
     build_envelope,
     envelope_primitives,
     envelope_word_class,
@@ -31,7 +33,7 @@ A = DendElement.generator("a")
 
 def assoc_brace():
     """One-dimensional brace of an associative product: {b|b} = b."""
-    return BraceStructure(1, ["b"], 5, {(0, (0,)): LinComb.single(0)})
+    return BraceStructure(1, ["b"], {(0, (0,)): LinComb.single(0)})
 
 
 def invalid_brace():
@@ -39,7 +41,6 @@ def invalid_brace():
     return BraceStructure(
         1,
         ["b"],
-        5,
         {(0, (0,)): LinComb.single(0), (0, (0, 0)): LinComb.single(0)},
     )
 
@@ -69,7 +70,7 @@ def test_validate_skips_unknown_tuples_of_truncated_structures():
 
 
 def test_absent_products_are_zero_at_any_arity():
-    b = trivial_brace(1, max_arity=2)
+    b = trivial_brace(1)
     assert b.brace(0, (0, 0, 0, 0)).is_zero()
     assert validate_brace(b, 5) == []
 
@@ -203,6 +204,29 @@ def test_brace_structure_json_roundtrip(tmp_path):
     path = tmp_path / "brace.json"
     path.write_text(json.dumps(data))
     assert BraceStructure.load(path).products == b.products
+
+
+def test_from_json_ignores_max_arity():
+    doc = {"dim": 1, "basis": ["a"], "max_arity": "x", "products": []}
+    b = BraceStructure.from_json(doc)
+    assert b.dim == 1 and "max_arity" not in b.to_json()
+
+
+def test_bad_arguments_raise_brace_error():
+    b = trivial_brace(1)
+    with pytest.raises(BraceError):
+        relation_generators(b, 1)
+    with pytest.raises(BraceError):
+        build_envelope(b, 0)
+    with pytest.raises(BraceError):
+        build_envelope(b, 2, slack=-1)
+
+
+def test_harvest_value_outside_primitive_span_raises(monkeypatch):
+    # a corolla landing off the primitives is a bug, reported as such
+    monkeypatch.setattr(envelope, "psi_corolla", lambda args: dprec(A, A))
+    with pytest.raises(HarvestError):
+        harvest_brace(1, 2)
 
 
 def test_brace_structure_accessors():
