@@ -68,15 +68,6 @@ class TensorSquareElement:
     def __rmul__(self, c):
         return self.scale(c)
 
-    def bidegree_component(self, i, j):
-        return TensorSquareElement(
-            LinComb(
-                (k, c)
-                for k, c in self.combo.terms.items()
-                if k[0].degree == i and k[1].degree == j
-            )
-        )
-
     def map_legs(self, f_left, f_right):
         """Apply linear maps (as LEAF-or-tree -> DendElement) legwise."""
         out = TensorSquareElement()

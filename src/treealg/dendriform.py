@@ -123,13 +123,6 @@ class DendElement:
             out.add(t.degree)
         return sorted(out)
 
-    def graded_piece(self, n) -> "DendElement":
-        if n == 0:
-            return DendElement(self.unit)
-        return DendElement(
-            0, LinComb((t, c) for t, c in self.body.terms.items() if t.degree == n)
-        )
-
     def top_degree(self) -> int:
         degs = self.degrees()
         return degs[-1] if degs else 0
@@ -292,25 +285,9 @@ def eval_pbt(t, assign) -> DendElement:
     return mid
 
 
-class PliSet:
+def pli(p: int, q: int):
     """Permutations of 1..p+q decreasing on the first p positions and
     increasing on the last q; the shuffles with the first part reversed."""
-
-    __slots__ = ("p", "q", "permutations")
-
-    def __init__(self, p, q, perms):
-        self.p = p
-        self.q = q
-        self.permutations = perms
-
-    def __len__(self):
-        return len(self.permutations)
-
-    def __iter__(self):
-        return iter(self.permutations)
-
-
-def pli(p: int, q: int) -> PliSet:
     assert p >= 1 and q >= 1
     out = []
     for sigma in permutations(range(1, p + q + 1)):
@@ -318,7 +295,7 @@ def pli(p: int, q: int) -> PliSet:
             sigma[i] < sigma[i + 1] for i in range(p, p + q - 1)
         ):
             out.append(sigma)
-    return PliSet(p, q, out)
+    return out
 
 
 class DendSpan:
@@ -352,7 +329,8 @@ class DendSpan:
         return max([0] + [self.wdeg(t) for t in e.body.terms])
 
     def vec(self, e: DendElement):
-        assert not e.unit, "ideal elements live in the positive part"
+        if e.unit:
+            raise ValueError("ideal elements live in the positive part")
         v = [ZERO] * len(self.columns)
         for t, c in e.body.terms.items():
             v[self.index[t]] = c
@@ -397,8 +375,25 @@ class DendSpan:
 
     def saturate(self, seeds):
         """Smallest truncated span containing the seeds and closed under
-        products with basis trees on both sides (the one-step closure
-        I + V<I + I<V + V>I + I>V, iterated to the fixpoint).
+        the dendriform products with the algebra on both sides,
+        iterated to the fixpoint.
+
+        Each ideal element i is multiplied by t>i and i<t for every
+        basis tree t, but by t<i and i>t only for the letters t = a.
+        The other products follow.  A basis tree is t = (l>a)<r, with l
+        or r possibly empty, and the dendriform axioms give
+
+            (l>a)<i = l>(a<i),
+            ((l>a)<r)<i = l>(a<(r<i)) + l>(a<(r>i)),
+
+        so every t<i lies in the closure by induction on deg t; the
+        mirror identities give every i>t.  Every intermediate product is
+        a factor of the final one, so its top degree is no larger and
+        the truncation drops no product the full closure would keep.
+        Letters alone on all four sides do not suffice: (a<b)>c is not
+        in the letter closure of c (on two letters at bound 4 that
+        closure of the trivial envelope's relations has 20 dimensions
+        in degree 4 instead of 16).
 
         Products whose top degree exceeds the cutoff are dropped whole;
         an inhomogeneous ideal may therefore be under-approximated near
@@ -406,10 +401,11 @@ class DendSpan:
         """
         by_degree = {}
         for w, t in zip(self.col_degree, self.columns):
-            by_degree.setdefault(w, []).append(DendElement.from_tree(t))
+            by_degree.setdefault(w, []).append((DendElement.from_tree(t), t.degree == 1))
         work = []
         for e in seeds:
-            assert not e.unit, "seeds must have zero unit part"
+            if e.unit:
+                raise ValueError("seeds must have zero unit part")
             if e.is_zero() or self.top_wdeg(e) > self.cutoff:
                 continue
             row = self.insert(e)
@@ -423,13 +419,11 @@ class DendSpan:
             processed += 1
             top = self.top_wdeg(e)
             for w in range(1, self.cutoff - top + 1):
-                for tpiece in by_degree.get(w, ()):
-                    for prod in (
-                        dprec(tpiece, e),
-                        dprec(e, tpiece),
-                        dsucc(tpiece, e),
-                        dsucc(e, tpiece),
-                    ):
+                for tpiece, letter in by_degree.get(w, ()):
+                    prods = (dprec(e, tpiece), dsucc(tpiece, e))
+                    if letter:
+                        prods += (dprec(tpiece, e), dsucc(e, tpiece))
+                    for prod in prods:
                         if prod.is_zero():
                             continue
                         row = self.insert(prod)
@@ -578,7 +572,11 @@ def parse_expr(text, sign_offset=1) -> DendElement:
     """Parse the algebra expression grammar: generators, '1', products
     <, >, *, brace calls {x|y,...} and parentheses."""
     p = _ExprParser(text, sign_offset)
-    e = p.expr()
+    try:
+        e = p.expr()
+    except RecursionError:
+        # too deep for the interpreter's recursion limit: bad input
+        raise ExprError("expression nested too deeply") from None
     if p.i != len(p.tokens):
         raise ExprError("trailing input %r" % p.tokens[p.i][0])
     return e

@@ -82,9 +82,6 @@ class BraceStructure:
             raise BraceError("weights must be a list of %d integers >= 1, got %r" % (dim, self.weights))
         self.weight_bound = weight_bound
 
-    def is_trivial(self) -> bool:
-        return not self.products
-
     def tuple_weight(self, root, args) -> int:
         return self.weights[root] + sum(self.weights[j] for j in args)
 
@@ -164,7 +161,7 @@ class BraceStructure:
         with open(path) as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
+            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
                 raise BraceError("%s is not a JSON file: %s" % (path, exc)) from None
         return cls.from_json(data)
 

@@ -12,8 +12,6 @@ from math import lcm
 
 from treealg import _kernel
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -64,16 +62,9 @@ class LinComb:
     def single(cls, key, coeff=1):
         return cls([(key, coeff)])
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def items(self):
         """Terms sorted by the canonical key encoding."""
         return sorted(self.terms.items(), key=lambda kv: str(kv[0]))
-
-    def support(self):
-        return set(self.terms)
 
     def coeff(self, key) -> Fraction:
         return self.terms.get(key, ZERO)

@@ -13,7 +13,7 @@ from treealg.trees import (
     catalan,
     pbt_shapes,
 )
-from treealg.dendriform import DendElement, eval_pbt
+from treealg.dendriform import DendElement, dprec, dsucc, eval_pbt
 
 
 def corolla(n: int) -> PlanarTree:
@@ -182,11 +182,6 @@ class OperadElement:
         return str(self.combo)
 
 
-def identity_element(species="planar") -> OperadElement:
-    cls = PlanarTree if species == "planar" else RootedTree
-    return OperadElement(species, 1, LinComb.single(cls("1")))
-
-
 def brace_relation_defect(n: int, m: int) -> LinComb:
     """Left minus right side of the corolla relation, composed in the
     planar operad.  The relation rewrites a root composition of two
@@ -241,7 +236,8 @@ class MultilinearDendSpace:
         return len(self.basis)
 
     def vec(self, e: DendElement):
-        assert not e.unit
+        if e.unit:
+            raise ValueError("multilinear elements have no unit part")
         v = [ZERO] * self.dim
         for t, c in e.body.terms.items():
             v[self.index[t]] = c
@@ -278,7 +274,6 @@ class ClosureResult:
     """Per-arity spans produced by ideal_closure."""
 
     def __init__(self, max_arity):
-        self.max_arity = max_arity
         self.spaces = {n: MultilinearDendSpace(n) for n in range(2, max_arity + 1)}
         self.spans = {n: EchelonSpan(self.spaces[n].dim) for n in range(2, max_arity + 1)}
 
@@ -299,22 +294,28 @@ class ClosureResult:
         return self.spans[n].rref_rows()
 
 
-def ideal_closure(generators, max_arity: int, mode: str = "two-sided") -> ClosureResult:
-    """Close per-arity generator spans under operad composition and
-    relabeling.
+def ideal_closure(generators, max_arity: int) -> ClosureResult:
+    """Two-sided operad ideal generated by per-arity seeds, per arity.
 
     generators: {arity: [multilinear DendElement, ...]}.  Seeds are
-    closed under relabeling up front.  Left mode adjoins e o f for every
-    basis operation e of the multilinear free algebra and every span row
-    f; two-sided mode also adjoins f o e.  Compositions range over every
-    letter subset for the inner factor (not just contiguous blocks), so
-    the saturated spans stay stable under the full symmetric-group
-    action without relabeling each product.  Queue-driven: each newly
-    independent remainder row is composed once, which reaches the
-    fixpoint because products of a span are spanned by products of any
-    spanning family.
+    closed under relabeling up front.  Each newly independent remainder
+    row f of arity k < max_arity is then composed with the two
+    generators < and > of Dend, once on each side:
+
+    * x<F, F<x, x>F and F>x, with F the row relabeled onto the other k
+      letters, for each letter x of 1..k+1;
+    * f o_@ mu for mu in {x<y, y<x, x>y, y>x}, with the row's last
+      letter renamed @, for each pair of letters {x, y}.
+
+    This reaches the ideal generated under composition with every
+    multilinear monomial: by operad associativity, a composition with
+    a monomial of arity m is an iterated composition with binary
+    products, and every intermediate arity lies between k and k+m-1.
+    Ranging over every letter subset keeps the spans stable under the
+    full symmetric group without relabeling each product.  The queue
+    reaches the fixpoint because products of a span are spanned by
+    products of any spanning family.
     """
-    assert mode in ("left", "two-sided")
     result = ClosureResult(max_arity)
     work = []
 
@@ -334,37 +335,26 @@ def ideal_closure(generators, max_arity: int, mode: str = "two-sided") -> Closur
                 mapping = dict(zip(letters, perm))
                 insert(n, relabel_element(g, mapping))
 
-    def monomials_on(letters):
-        """All multilinear basis trees decorated by the given letters."""
-        m = len(letters)
-        mapping = dict(zip([str(j) for j in range(1, m + 1)], sorted(letters)))
-        for t in result.spaces[m].basis:
-            yield t.relabel(mapping)
-
     processed = 0
     while processed < len(work):
         k, f = work[processed]
         processed += 1
-        for m in range(2, max_arity - k + 2):
-            n = m + k - 1
-            all_letters = [str(i) for i in range(1, n + 1)]
-            # e o f: the row becomes the inner factor on any letter set
-            for inner_set in combinations(all_letters, k):
-                inner = relabel_element(
-                    f, dict(zip([str(j) for j in range(1, k + 1)], inner_set))
-                )
-                outer_letters = [a for a in all_letters if a not in inner_set] + ["@"]
-                for t in monomials_on(outer_letters):
-                    insert(n, _graft(DendElement.from_tree(t), "@", inner))
-            if mode == "two-sided":
-                # f o e: the row is the outer factor, basis trees inside
-                for inner_set in combinations(all_letters, m):
-                    rest = [a for a in all_letters if a not in inner_set] + ["@"]
-                    outer = relabel_element(
-                        f, dict(zip([str(j) for j in range(1, k + 1)], rest))
-                    )
-                    for t in monomials_on(inner_set):
-                        insert(n, _graft(outer, "@", DendElement.from_tree(t)))
+        if k == max_arity:
+            continue
+        n = k + 1
+        all_letters = [str(i) for i in range(1, n + 1)]
+        own = [str(j) for j in range(1, k + 1)]
+        for a in all_letters:
+            x = DendElement.generator(a)
+            inner = relabel_element(f, dict(zip(own, [b for b in all_letters if b != a])))
+            for prod in (dprec(x, inner), dprec(inner, x), dsucc(x, inner), dsucc(inner, x)):
+                insert(n, prod)
+        for a, b in combinations(all_letters, 2):
+            rest = [c for c in all_letters if c not in (a, b)] + ["@"]
+            outer = relabel_element(f, dict(zip(own, rest)))
+            x, y = DendElement.generator(a), DendElement.generator(b)
+            for mu in (dprec(x, y), dprec(y, x), dsucc(x, y), dsucc(y, x)):
+                insert(n, _graft(outer, "@", mu))
     return result
 
 

@@ -60,26 +60,13 @@ def _psi_of_labeled(t, arity):
 
 
 @lru_cache(maxsize=None)
-def brace_image_closure(max_arity, mode="two-sided"):
-    """Two-sided (or left) closure of the corolla images, per arity."""
+def brace_image_closure(max_arity):
+    """Two-sided closure of the corolla images, per arity."""
     gens = {
         n: [_psi_of_labeled(t, n) for t in _labeled_corollas(n)]
         for n in range(2, max_arity + 1)
     }
-    return ideal_closure(gens, max_arity, mode)
-
-
-@lru_cache(maxsize=None)
-def brace_full_image_closure(max_arity, mode):
-    """Closure seeded with the psi image of every labeled planar tree."""
-    gens = {
-        n: [
-            _psi_of_labeled(t, n)
-            for t in planar_trees([str(i) for i in range(1, n + 1)])
-        ]
-        for n in range(2, max_arity + 1)
-    }
-    return ideal_closure(gens, max_arity, mode)
+    return ideal_closure(gens, max_arity)
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +79,7 @@ def prelie_image_closure(max_arity):
             psi_eval(phi(t), args)
             for t in rooted_trees([str(i) for i in range(1, n + 1)])
         ]
-    return ideal_closure(gens, max_arity, "two-sided")
+    return ideal_closure(gens, max_arity)
 
 
 def suite_axioms(bound=5):

@@ -354,18 +354,26 @@ def _check_distinct(t):
         seen.add(lab)
 
 
-def parse_planar(text) -> PlanarTree:
+def _parse_all(text, parse):
+    """Run parse over all of text; nesting too deep for the interpreter's
+    recursion limit is a parse error, not a crash."""
     p = _Parser(text)
-    t = _parse_node(p, PlanarTree)
+    try:
+        t = parse(p)
+    except RecursionError:
+        raise ParseError("nested too deeply", p.tokens[p.i - 1][1]) from None
     p.done()
+    return t
+
+
+def parse_planar(text) -> PlanarTree:
+    t = _parse_all(text, lambda p: _parse_node(p, PlanarTree))
     _check_distinct(t)
     return t
 
 
 def parse_rooted(text) -> RootedTree:
-    p = _Parser(text)
-    t = _parse_node(p, RootedTree)
-    p.done()
+    t = _parse_all(text, lambda p: _parse_node(p, RootedTree))
     _check_distinct(t)
     return t
 
@@ -384,21 +392,7 @@ def _parse_pbt(p: _Parser):
 
 
 def parse_pbt(text) -> PBT:
-    p = _Parser(text)
-    t = _parse_pbt(p)
-    p.done()
-    return t
-
-
-def parse_tree(text, species):
-    """species is 'planar', 'nonplanar' or 'pbt'."""
-    if species == "planar":
-        return parse_planar(text)
-    if species == "nonplanar":
-        return parse_rooted(text)
-    if species == "pbt":
-        return parse_pbt(text)
-    raise ValueError("unknown tree species %r" % species)
+    return _parse_all(text, _parse_pbt)
 
 
 def catalan(n: int) -> int:

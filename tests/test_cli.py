@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treealg import cli
 from treealg.cli import main
@@ -169,6 +171,9 @@ BAD_ARGS = [
     ["envelope", "--brace", "/nonexistent/brace.json"],
     ["eval", "--expr", "1<1"],
     ["verify", "--suite", "psi-morphism", "--bound", "1"],
+    # nested deeper than the interpreter's recursion limit
+    ["eval", "--expr", "(" * 3000 + "a" + ")" * 3000],
+    ["compose", "--outer", "1(2)", "--inner", "1" + "(x" * 1500 + ")" * 1500, "--at", "1"],
 ]
 
 
@@ -180,6 +185,9 @@ def _bad_inputs(tmp_path):
         cases.append(["envelope", "--brace", str(path), "--bound", "2"])
     path = tmp_path / "not-json.json"
     path.write_text('{"dim": 1,')
+    cases.append(["envelope", "--brace", str(path), "--bound", "2"])
+    path = tmp_path / "too-deep.json"
+    path.write_text('{"dim": 1, "x": ' + "[" * 100000 + "]" * 100000 + "}")
     cases.append(["envelope", "--brace", str(path), "--bound", "2"])
     return cases
 
@@ -297,3 +305,120 @@ def test_cmm_under_optimize():
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout)["result"]
     assert result["dims_envelope"] == [1, 1, 2, 5] and result["intertwined"]
+
+
+# Fuzzing the three parsers in-process: any input ends in a result or
+# in one typed input error, never in exit 1 without a defect, never in
+# an internal error or a traceback.
+
+FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def _assert_no_crash(argv, code, out, err):
+    assert "Traceback" not in err, (argv, err)
+    if code == 2:
+        _assert_usage_error(argv, code, err)
+    else:
+        assert code == 0 and err == "", (argv, code, err)
+
+
+def _corrupted(valid, noise):
+    """Strings from the grammar, and the same with a random insertion."""
+    spliced = st.tuples(valid, st.integers(0, 30), noise).map(
+        lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :]
+    )
+    return valid | spliced | noise
+
+
+EXPR = st.recursive(
+    st.sampled_from(["a", "b", "1"]),
+    lambda e: st.tuples(e, st.sampled_from("<>*"), e).map("(%s%s%s)".__mod__)
+    | st.lists(e, min_size=2, max_size=3).map(lambda xs: "{%s|%s}" % (xs[0], ",".join(xs[1:]))),
+    max_leaves=5,
+)
+
+
+@FUZZ
+@given(
+    st.sampled_from(["eval", "coproduct"]),
+    _corrupted(EXPR, st.text(alphabet="ab1<>*(){}|, ", max_size=4) | st.text(max_size=4)),
+)
+def test_fuzz_expression_parser(verb, text):
+    argv = [verb, "--expr", text]
+    _assert_no_crash(argv, *run_cli(argv))
+
+
+def _numbered(shape, first):
+    """Replace each '#' of a tree shape by the next label from first on."""
+    parts = shape.split("#")
+    return "".join(p + str(first + i) for i, p in enumerate(parts[:-1])) + parts[-1]
+
+
+SHAPE = st.recursive(
+    st.just("#"),
+    lambda c: st.lists(c, min_size=1, max_size=3).map(lambda xs: "#(%s)" % ",".join(xs)),
+    max_leaves=4,
+)
+TREE_NOISE = st.text(alphabet="12x_(), ", max_size=3) | st.text(max_size=3)
+
+
+@FUZZ
+@given(
+    st.sampled_from(["ape", "prelie"]),
+    _corrupted(SHAPE.map(lambda s: _numbered(s, 1)), TREE_NOISE),
+    _corrupted(st.tuples(SHAPE, st.integers(1, 5)).map(lambda t: _numbered(*t)), TREE_NOISE),
+    st.sampled_from(["1", "2", "3", "x", "("]),
+)
+def test_fuzz_tree_parser(species, outer, inner, at):
+    argv = ["compose", "--species", species, "--outer", outer, "--inner", inner, "--at", at]
+    _assert_no_crash(argv, *run_cli(argv))
+
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats()
+    | st.sampled_from(["1", "-1/2", "0", "1/0", "abc", "a", "b"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def brace_docs(draw):
+    """A well-formed brace document, then maybe one value replaced by noise."""
+    dim = draw(st.integers(1, 3))
+    index = st.integers(0, dim - 1)
+    value = st.fixed_dictionaries({"coeff": st.sampled_from(["1", "-1", "1/2"]), "index": index})
+    product = st.fixed_dictionaries(
+        {
+            "root": index,
+            "args": st.lists(index, min_size=1, max_size=2),
+            "value": st.lists(value, max_size=2),
+        }
+    )
+    doc = {"dim": dim, "basis": ["a", "b", "c"][:dim], "products": draw(st.lists(product, max_size=3))}
+    if draw(st.booleans()):
+        doc["weights"] = draw(st.lists(st.integers(1, 2), min_size=dim, max_size=dim))
+    places = [doc] + doc["products"] + [v for p in doc["products"] for v in p["value"]]
+    if draw(st.booleans()):
+        target = draw(st.sampled_from(places))
+        target[draw(st.sampled_from(sorted(target)))] = draw(JSON)
+    return doc
+
+
+@FUZZ
+@given(st.one_of(brace_docs().map(json.dumps), JSON.map(json.dumps), st.text(max_size=12)))
+def test_fuzz_brace_json_parser(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "brace.json")
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
+            fh.write(text)
+        argv = ["--output", "json", "envelope", "--brace", path, "--bound", "2", "--slack", "0"]
+        code, out, err = run_cli(argv)
+    if code == 1:
+        # a structure that parsed but fails the brace relations
+        assert err == "" and json.loads(out)["defects"], (text, out)
+    else:
+        _assert_no_crash(argv, code, out, err)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from treealg.operads import ClosureResult
 from treealg.trees import parse_planar, pbt_basis
 from treealg.dendriform import (
     DEND_ONE,
@@ -128,8 +133,38 @@ def test_s_closure_examples():
 
 
 def test_s_closure_rejects_unit_seed():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         s_closure([DEND_ONE + A], 2, alphabet=["a"])
+    with pytest.raises(ValueError):
+        s_closure([A], 2).contains(DEND_ONE + A)
+    with pytest.raises(ValueError):
+        ClosureResult(2).contains(2, DEND_ONE + DendElement.generator("1"))
+
+
+UNIT_SEED_RUNNER = """
+from treealg.dendriform import DEND_ONE, DendElement, s_closure
+from treealg.operads import ClosureResult
+assert False, "this runner must run under python -O"
+a = DendElement.generator("a")
+x = DendElement.generator("1")
+for call in (lambda: s_closure([DEND_ONE + a], 2, alphabet=["a"]),
+             lambda: s_closure([a], 2).contains(DEND_ONE + a),
+             lambda: ClosureResult(2).contains(2, DEND_ONE + x)):
+    try:
+        call()
+    except ValueError:
+        continue
+    raise SystemExit("no ValueError")
+"""
+
+
+def test_s_closure_rejects_unit_seed_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", UNIT_SEED_RUNNER], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_pli_counts():

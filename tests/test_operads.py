@@ -17,7 +17,9 @@ from treealg.operads import (
     phi,
     quotient_dims,
 )
-from treealg.suites import brace_image_closure, brace_full_image_closure
+from treealg.suites import brace_image_closure
+
+from test_closure import full_image_seeds, old_ideal_closure
 
 
 def test_compose_ape_leaf():
@@ -214,7 +216,7 @@ def _psi_corolla_image(n):
 
 def test_ideal_closure_examples():
     gens2 = {2: _psi_corolla_image(2)}
-    cl = ideal_closure(gens2, 3, "two-sided")
+    cl = ideal_closure(gens2, 3)
     assert cl.rank(3) == 24
     cl_b = ideal_closure({2: _psi_corolla_image(2), 3: _psi_corolla_image(3)}, 3)
     assert cl_b.rref(3) == cl.rref(3)
@@ -244,7 +246,7 @@ def test_closure_relabel_stability_arity3():
 
 def test_left_ideal_of_full_image_is_two_sided():
     two = brace_image_closure(4)
-    left = brace_full_image_closure(4, "left")
+    left = old_ideal_closure(full_image_seeds(4), 4, "left")
     for n in (2, 3, 4):
         assert left.rref(n) == two.rref(n)
 
