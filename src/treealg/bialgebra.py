@@ -12,7 +12,7 @@ omit the unique ghost term whose both right legs are the unit.
 
 from functools import lru_cache
 
-from treealg.linalg import LinComb, RatMatrix, kernel_basis, rowreduce
+from treealg.linalg import LinComb, Span, kernel_basis
 from treealg.trees import LEAF, PBT, pbt_basis
 from treealg.dendriform import (
     DendElement,
@@ -186,45 +186,35 @@ def primitives(degree: int, alphabet) -> list:
     # expression-string order puts the < combs first, so the echelon
     # pivots land on them and printed bases read like a<a - a>a
     basis = sorted(pbt_basis(degree, alphabet), key=pbt_expr)
-    pair_index = {}
-    columns = []
-    for t in basis:
-        col = {}
-        for (l, r), c in _delta_tree(t).terms.items():
-            if l.is_leaf() or r.is_leaf():
-                continue
-            k = pair_index.setdefault((l, r), len(pair_index))
-            col[k] = c
-        columns.append(col)
-    rows = [[col.get(i, 0) for col in columns] for i in range(len(pair_index))]
-    if not rows:
-        rows = [[0] * len(basis)]
-    kernel = kernel_basis(RatMatrix.from_rows(rows, cols=len(basis)))
-    if not kernel:
-        return []
-    echelon, rank, _ = rowreduce(RatMatrix.from_rows(kernel, cols=len(basis)))
-    out = []
-    for r in echelon.entries[:rank]:
-        out.append(DendElement(0, LinComb(zip(basis, r))))
-    return out
+    images = [
+        LinComb(
+            ((l, r), c)
+            for (l, r), c in _delta_tree(t).terms.items()
+            if not l.is_leaf() and not r.is_leaf()
+        )
+        for t in basis
+    ]
+    span = Span(basis)
+    for v in kernel_basis(basis, images):
+        span.insert(v)
+    return [DendElement(0, b) for b in span.basis()]
 
 
 def primitive_dims(alphabet, max_degree: int):
     return {n: len(primitives(n, alphabet)) for n in range(1, max_degree + 1)}
 
 
-def brace_on_primitives(args, check=True) -> DendElement:
+def brace_on_primitives(args) -> DendElement:
     """Brace operation {x1 | x2,...,xn} on primitives, realized as the
     corolla image; the output is primitive again (verified)."""
     args = list(args)
     assert args
-    if check:
-        for x in args:
-            if not is_primitive(x):
-                raise ValueError("argument %s is not primitive" % x)
+    for x in args:
+        if not is_primitive(x):
+            raise ValueError("argument %s is not primitive" % x)
     if len(args) == 1:
         return args[0]
     out = psi_corolla(args)
-    if check and not is_primitive(out):
+    if not is_primitive(out):
         raise AssertionError("brace of primitives failed to be primitive")
     return out

@@ -10,14 +10,11 @@ with 1*x = x*1 = x, and unit rules 1<x = x>1 = 0, x<1 = 1>x = x.
 1<1 and 1>1 are not defined and raise.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from treealg.linalg import EchelonSpan, LinComb, rat
+from treealg.linalg import LinComb, Span, rat
 from treealg.trees import LEAF, PBT, PlanarTree, weighted_pbt_basis
-
-ZERO = Fraction(0)
 
 
 class UnitProductError(ValueError):
@@ -248,7 +245,7 @@ def psi_corolla(args, sign_offset=1) -> DendElement:
     return out
 
 
-def psi_eval(op, args, sign_offset=1) -> DendElement:
+def psi_eval(op, args) -> DendElement:
     """Evaluate a planar-tree operation in the free dendriform algebra.
 
     op is a PlanarTree or a LinComb of them, with vertex labels 1..n;
@@ -260,16 +257,16 @@ def psi_eval(op, args, sign_offset=1) -> DendElement:
     assign = {str(i + 1): x for i, x in enumerate(args)}
     out = DendElement()
     for t, c in combo.terms.items():
-        out = out + _psi_tree(t, assign, sign_offset).scale(c)
+        out = out + _psi_tree(t, assign).scale(c)
     return out
 
 
-def _psi_tree(t: PlanarTree, assign, sign_offset) -> DendElement:
+def _psi_tree(t: PlanarTree, assign) -> DendElement:
     root = assign[t.label]
     if not t.children:
         return root
-    vals = [_psi_tree(c, assign, sign_offset) for c in t.children]
-    return psi_corolla([root] + vals, sign_offset)
+    vals = [_psi_tree(c, assign) for c in t.children]
+    return psi_corolla([root] + vals)
 
 
 def eval_pbt(t, assign) -> DendElement:
@@ -298,6 +295,14 @@ def pli(p: int, q: int):
     return out
 
 
+def positive_body(e: DendElement) -> LinComb:
+    """The body of an element of the positive part; ideal elements have
+    no unit part."""
+    if e.unit:
+        raise ValueError("ideal elements live in the positive part, got %s" % e)
+    return e.body
+
+
 class DendSpan:
     """Truncated subspace of the positive part of the free algebra.
 
@@ -311,16 +316,12 @@ class DendSpan:
         self.alphabet = list(alphabet)
         self.cutoff = cutoff
         self.weights = dict(weights) if weights else {a: 1 for a in self.alphabet}
-        assert all(w >= 1 for w in self.weights.values())
-        cols = [
-            (self.wdeg(t), t)
-            for t in weighted_pbt_basis(self.alphabet, self.weights, cutoff)
-        ]
-        cols.sort(key=lambda wt: (-wt[0], str(wt[1])))
-        self.columns = [t for _, t in cols]
-        self.col_degree = [w for w, _ in cols]
-        self.index = {t: i for i, t in enumerate(self.columns)}
-        self.span = EchelonSpan(len(self.columns))
+        for a in self.alphabet:
+            w = self.weights.get(a)
+            if not isinstance(w, int) or w < 1:
+                raise ValueError("letter %r has weight %r, not an integer >= 1" % (a, w))
+        trees = weighted_pbt_basis(self.alphabet, self.weights, cutoff)
+        self.span = Span(sorted(trees, key=lambda t: (-self.wdeg(t), str(t))))
 
     def wdeg(self, t: PBT) -> int:
         return sum(self.weights[a] for a in t.decorations())
@@ -328,35 +329,17 @@ class DendSpan:
     def top_wdeg(self, e: DendElement) -> int:
         return max([0] + [self.wdeg(t) for t in e.body.terms])
 
-    def vec(self, e: DendElement):
-        if e.unit:
-            raise ValueError("ideal elements live in the positive part")
-        v = [ZERO] * len(self.columns)
-        for t, c in e.body.terms.items():
-            v[self.index[t]] = c
-        return v
-
-    def element(self, row) -> DendElement:
-        return DendElement(
-            0, LinComb((self.columns[i], c) for i, c in enumerate(row) if c)
-        )
-
-    def fits(self, e: DendElement) -> bool:
-        return all(t in self.index for t in e.body.terms)
-
     def insert(self, e: DendElement):
-        """Returns the stored remainder row on rank growth, else None."""
-        return self.span.insert(self.vec(e))
+        """Returns the remainder of e on rank growth, else None."""
+        rest = self.span.insert(positive_body(e))
+        return None if rest is None else DendElement(0, rest)
 
     def contains(self, e: DendElement) -> bool:
-        return self.span.contains(self.vec(e))
+        return self.span.contains(positive_body(e))
 
     def reduce(self, e: DendElement) -> DendElement:
         """Canonical representative of e modulo the span (unit part kept)."""
-        rest = self.span.reduce_exact(self.vec(DendElement(0, e.body)))
-        return DendElement(e.unit, LinComb(
-            (self.columns[i], c) for i, c in enumerate(rest) if c
-        ))
+        return DendElement(e.unit, self.span.reduce(e.body))
 
     @property
     def rank(self):
@@ -365,13 +348,12 @@ class DendSpan:
     def degree_dims(self):
         """Rank per weighted degree (pivot degree of each echelon row)."""
         out = {d: 0 for d in range(1, self.cutoff + 1)}
-        for p in self.span.pivots:
-            out[self.col_degree[p]] += 1
+        for t in self.span.pivot_keys():
+            out[self.wdeg(t)] += 1
         return out
 
     def basis_elements(self):
-        rows, _ = self.span.rref_rows()
-        return [self.element(r) for r in rows]
+        return [DendElement(0, b) for b in self.span.basis()]
 
     def saturate(self, seeds):
         """Smallest truncated span containing the seeds and closed under
@@ -400,8 +382,8 @@ class DendSpan:
         the cutoff, which callers defend against with slack + stability.
         """
         by_degree = {}
-        for w, t in zip(self.col_degree, self.columns):
-            by_degree.setdefault(w, []).append((DendElement.from_tree(t), t.degree == 1))
+        for t in self.span.columns:
+            by_degree.setdefault(self.wdeg(t), []).append((DendElement.from_tree(t), t.degree == 1))
         work = []
         for e in seeds:
             if e.unit:
@@ -412,7 +394,7 @@ class DendSpan:
             if row is not None:
                 # echelon remainders span the same ideal as the raw
                 # seeds and are sparser
-                work.append(self.element(row))
+                work.append(row)
         processed = 0
         while processed < len(work):
             e = work[processed]
@@ -428,7 +410,7 @@ class DendSpan:
                             continue
                         row = self.insert(prod)
                         if row is not None:
-                            work.append(self.element(row))
+                            work.append(row)
         return self
 
 
@@ -506,10 +488,9 @@ def _expr_tokenize(text):
 class _ExprParser:
     """expr := atom (op atom)*; one product per chain, except x>y<z."""
 
-    def __init__(self, text, sign_offset=1):
+    def __init__(self, text):
         self.tokens = _expr_tokenize(text)
         self.i = 0
-        self.sign_offset = sign_offset
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -540,7 +521,7 @@ class _ExprParser:
                 self.next()
                 args.append(self.expr())
             self.expect("}")
-            return psi_corolla(args, self.sign_offset)
+            return psi_corolla(args)
         if tok in _EXPR_TOKENS:
             raise ExprError("unexpected %r" % tok)
         if tok == "1":
@@ -568,10 +549,10 @@ class _ExprParser:
         )
 
 
-def parse_expr(text, sign_offset=1) -> DendElement:
+def parse_expr(text) -> DendElement:
     """Parse the algebra expression grammar: generators, '1', products
     <, >, *, brace calls {x|y,...} and parentheses."""
-    p = _ExprParser(text, sign_offset)
+    p = _ExprParser(text)
     try:
         e = p.expr()
     except RecursionError:

@@ -15,7 +15,8 @@ import json
 import math
 from itertools import product
 
-from treealg.linalg import LinComb, rat, rat_str
+from treealg.linalg import LinComb, Span, kernel_basis, rat, rat_str, span_contains
+from treealg.trees import catalan, pbt_basis
 from treealg.dendriform import (
     DendElement,
     DendSpan,
@@ -24,6 +25,7 @@ from treealg.dendriform import (
     s_closure,
     upcomb,
 )
+from treealg.operads import interval_partitions
 from treealg.bialgebra import (
     TensorSquareElement,
     coproduct,
@@ -222,7 +224,7 @@ def validate_brace(b: BraceStructure, arity_bound: int):
                     for ys in weighted_tuples(b.weights, m, rest):
                         lhs = b.brace_multi(b.brace(z, xs), [LinComb.single(y) for y in ys])
                         rhs = LinComb()
-                        for blocks in _interval_partitions(list(ys), 2 * n + 1):
+                        for blocks in interval_partitions(list(ys), 2 * n + 1):
                             args = []
                             for i in range(n):
                                 args.extend(LinComb.single(y) for y in blocks[2 * i])
@@ -246,17 +248,6 @@ def validate_brace(b: BraceStructure, arity_bound: int):
 
 def _named(b: BraceStructure, combo: LinComb) -> str:
     return str(combo.map_keys(lambda i: b.basis[i]))
-
-
-def _interval_partitions(items, k):
-    """Splittings of an ordered list into k consecutive, possibly empty
-    blocks."""
-    from itertools import combinations_with_replacement
-
-    m = len(items)
-    for cuts in combinations_with_replacement(range(m + 1), k - 1):
-        bounds = (0,) + cuts + (m,)
-        yield [items[bounds[i] : bounds[i + 1]] for i in range(k)]
 
 
 def relation_generators(b: BraceStructure, degree_bound: int):
@@ -317,7 +308,8 @@ class TruncatedQuotient:
     def dims(self):
         """Filtration dimensions: degree 0 is the unit line."""
         cols = {}
-        for w in self.span.col_degree:
+        for t in self.span.span.columns:
+            w = self.span.wdeg(t)
             cols[w] = cols.get(w, 0) + 1
         ranks = self.span.degree_dims()
         out = {0: 1}
@@ -327,11 +319,11 @@ class TruncatedQuotient:
 
     def quotient_trees(self):
         """Non-pivot basis trees (class representatives) per degree."""
-        pivot_set = set(self.span.span.pivots)
+        pivots = set(self.span.span.pivot_keys())
         out = {}
-        for i, t in enumerate(self.span.columns):
-            d = self.span.col_degree[i]
-            if d <= self.bound and i not in pivot_set:
+        for t in self.span.span.columns:
+            d = self.span.wdeg(t)
+            if d <= self.bound and t not in pivots:
                 out.setdefault(d, []).append(t)
         return out
 
@@ -421,14 +413,9 @@ def envelope_primitives(q: TruncatedQuotient):
     where the structure check replays every declared brace product on
     the primitive classes and compares with the structure constants.
     """
-    classes = []
-    for d in sorted(q.quotient_trees()):
-        classes.extend(q.quotient_trees()[d])
-    index = {t: i for i, t in enumerate(classes)}
-    pair_index = {}
-    columns = []
+    classes = [t for _, trees in sorted(q.quotient_trees().items()) for t in trees]
+    images = []
     for t in classes:
-        col = {}
         delta = q.coproduct(DendElement.from_tree(t))
         delta = delta - TensorSquareElement.from_product(
             q.class_of(t), DendElement.one()
@@ -436,21 +423,8 @@ def envelope_primitives(q: TruncatedQuotient):
         delta = delta - TensorSquareElement.from_product(
             DendElement.one(), q.class_of(t)
         )
-        for key, c in delta.combo.terms.items():
-            k = pair_index.setdefault(key, len(pair_index))
-            col[k] = c
-        columns.append(col)
-    from treealg.linalg import RatMatrix, kernel_basis
-
-    rows = [[col.get(i, 0) for col in columns] for i in range(len(pair_index))]
-    if not rows:
-        rows = [[0] * len(classes)]
-    kernel = kernel_basis(RatMatrix.from_rows(rows, cols=len(classes)))
-    elems = []
-    for v in kernel:
-        elems.append(
-            DendElement(0, LinComb((classes[i], c) for i, c in enumerate(v) if c))
-        )
+        images.append(delta.combo)
+    elems = [DendElement(0, v) for v in kernel_basis(classes, images)]
     dims = {}
     for e in elems:
         dims[q.weighted_degree(e)] = dims.get(q.weighted_degree(e), 0) + 1
@@ -464,8 +438,6 @@ def _structure_roundtrip(q: TruncatedQuotient, prim_elems) -> dict:
     b = q.brace
     letters = [DendElement.generator(name) for name in b.basis]
     # primitives must span exactly the letter lines
-    from treealg.linalg import span_contains
-
     prim_combos = [p.body for p in prim_elems]
     letters_in = all(
         span_contains(prim_combos, q.reduce(x).body) for x in letters
@@ -567,9 +539,6 @@ def theta_roundtrip(n_gens: int, bound: int, slack: int = 0) -> dict:
     the evaluation map, and coproduct intertwining on the up-comb
     monomials of primitives.
     """
-    from treealg.linalg import EchelonSpan, ZERO
-    from treealg.trees import catalan, pbt_basis
-
     alphabet = [chr(ord("a") + i) for i in range(n_gens)]
     b, prims = harvest_brace(n_gens, bound)
     q = build_envelope(b, bound, slack)
@@ -595,16 +564,10 @@ def theta_roundtrip(n_gens: int, bound: int, slack: int = 0) -> dict:
     surjective = {0: True}
     classes = q.quotient_trees()
     for d in range(1, bound + 1):
-        basis = sorted(pbt_basis(d, alphabet), key=str)
-        index = {t: i for i, t in enumerate(basis)}
-        span = EchelonSpan(len(basis))
+        span = Span(sorted(pbt_basis(d, alphabet), key=str))
         for t in classes.get(d, []):
-            img = theta(DendElement.from_tree(t))
-            v = [ZERO] * len(basis)
-            for u, c in img.body.terms.items():
-                v[index[u]] = c
-            span.insert(v)
-        surjective[d] = span.rank == len(basis)
+            span.insert(theta(DendElement.from_tree(t)).body)
+        surjective[d] = span.rank == len(span.columns)
 
     intertwined = True
     for length in range(1, bound + 1):

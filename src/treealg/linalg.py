@@ -1,9 +1,18 @@
 """Exact rational scalars, formal linear combinations and row reduction.
 
 Every coefficient in the system is a ``fractions.Fraction`` (arbitrary
-precision, always reduced, positive denominator).  Matrices are dense;
-after clearing denominators, every elimination runs on integer rows in
-the pure-Python kernel ``treealg._kernel``.
+precision, always reduced, positive denominator).  The rest of the
+package does linear algebra in ``LinComb``s only: a ``Span`` over an
+ordered list of keys, and ``kernel_basis`` of a map given by the
+images of its columns.  These two are the only place where a
+combination becomes a coordinate row.  Rows are dense; after clearing
+denominators, every elimination runs on integer rows in the
+pure-Python kernel ``treealg._kernel``.
+
+``EchelonSpan`` is ``Span``'s engine on dense rows and keeps its name,
+as do ``to_int_row``, ``kernel_basis`` and ``_kernel``: the benchmark's
+tracer (``perfbench/tracer.py``) wraps them by name and reads the
+dense vector that ``EchelonSpan`` receives.
 """
 
 from bisect import bisect
@@ -157,71 +166,6 @@ def to_int_row(vec) -> list:
     return [int(x * mult) for x in vec]
 
 
-class RatMatrix:
-    """Dense matrix of Fractions."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = [[rat(x) for x in r] for r in entries]
-        assert len(entries) == rows and all(len(r) == cols for r in entries)
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, entries, cols=None):
-        entries = list(entries)
-        if cols is None:
-            cols = len(entries[0]) if entries else 0
-        return cls(len(entries), cols, entries)
-
-    def transpose(self):
-        return RatMatrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __str__(self):
-        return "\n".join(" ".join(rat_str(x) for x in r) for r in self.entries)
-
-
-def rowreduce(m: RatMatrix):
-    """Reduced row echelon form over Q.  Returns (echelon, rank, pivots)."""
-    int_rows = [to_int_row(r) for r in m.entries]
-    rows, pivots = _kernel.rref(int_rows, m.cols)
-    frac_rows = [[Fraction(x, r[p]) for x in r] for r, p in zip(rows, pivots)]
-    rank = len(rows)
-    frac_rows += [[ZERO] * m.cols for _ in range(m.rows - rank)]
-    return RatMatrix(m.rows, m.cols, frac_rows), rank, tuple(pivots)
-
-
-def kernel_basis(m: RatMatrix):
-    """Basis of the right null space, one Fraction vector per free column."""
-    int_rows = [to_int_row(r) for r in m.entries]
-    rows, pivots = _kernel.rref(int_rows, m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[free] = ONE
-        for r, p in zip(rows, pivots):
-            if r[free]:
-                v[p] = Fraction(-r[free], r[p])
-        basis.append(v)
-    return basis
-
-
 class EchelonSpan:
     """Growing row space in forward echelon form over integer rows.
 
@@ -281,28 +225,85 @@ class EchelonSpan:
         return [[Fraction(x, r[p]) for x in r] for r, p in zip(rows, pivots)], pivots
 
 
-def lincombs_to_matrix(combos):
-    """Common column basis (keys sorted by str) and coefficient rows."""
-    keys = sorted({k for c in combos for k in c.terms}, key=str)
-    index = {k: i for i, k in enumerate(keys)}
-    rows = []
-    for c in combos:
-        v = [ZERO] * len(keys)
-        for k, x in c.terms.items():
-            v[index[k]] = x
-        rows.append(v)
-    return keys, rows
+class Span:
+    """Subspace of the rational combinations of an ordered list of keys.
+
+    Every method takes and returns LinComb; a key outside the list
+    raises KeyError.  The order of the keys is the column order of the
+    echelon form: pivots fall on the earliest keys.
+    """
+
+    __slots__ = ("columns", "index", "echelon")
+
+    def __init__(self, columns):
+        self.columns = list(columns)
+        self.index = {k: i for i, k in enumerate(self.columns)}
+        self.echelon = EchelonSpan(len(self.columns))
+
+    def _vec(self, combo):
+        v = [ZERO] * len(self.columns)
+        for k, c in combo.terms.items():
+            v[self.index[k]] = c
+        return v
+
+    def _combo(self, row) -> LinComb:
+        return LinComb((self.columns[i], c) for i, c in enumerate(row) if c)
+
+    @property
+    def rank(self):
+        return self.echelon.rank
+
+    def insert(self, combo: LinComb):
+        """Adjoin combo; returns its remainder (up to scale) if the rank
+        grew, None otherwise."""
+        row = self.echelon.insert(self._vec(combo))
+        return None if row is None else self._combo(row)
+
+    def contains(self, combo: LinComb) -> bool:
+        return self.echelon.contains(self._vec(combo))
+
+    def reduce(self, combo: LinComb) -> LinComb:
+        """Canonical representative of combo modulo the span: it vanishes
+        at every pivot key."""
+        return self._combo(self.echelon.reduce_exact(self._vec(combo)))
+
+    def basis(self):
+        """Canonical basis: the reduced echelon rows, pivot coefficient 1."""
+        rows, _ = self.echelon.rref_rows()
+        return [self._combo(r) for r in rows]
+
+    def pivot_keys(self):
+        return [self.columns[p] for p in self.echelon.pivots]
+
+
+def kernel_basis(columns, images):
+    """Basis of the kernel of the linear map sending columns[j] to the
+    LinComb images[j]: one LinComb over the columns per free column."""
+    rows = {}
+    for j, image in enumerate(images):
+        for k, c in image.terms.items():
+            if k not in rows:
+                rows[k] = [ZERO] * len(columns)
+            rows[k][j] = c
+    ech, pivots = _kernel.rref([to_int_row(r) for r in rows.values()], len(columns))
+    pivot_set = set(pivots)
+    out = []
+    for free in range(len(columns)):
+        if free in pivot_set:
+            continue
+        v = [ZERO] * len(columns)
+        v[free] = ONE
+        for r, p in zip(ech, pivots):
+            if r[free]:
+                v[p] = Fraction(-r[free], r[p])
+        out.append(LinComb((columns[i], c) for i, c in enumerate(v) if c))
+    return out
 
 
 def span_contains(generators, candidate: LinComb) -> bool:
-    """Is candidate in the rational span of the generators?
-
-    Decided by rank comparison before and after adjoining candidate.
-    """
-    keys, rows = lincombs_to_matrix(list(generators) + [candidate])
-    span = EchelonSpan(len(keys))
-    for v in rows[:-1]:
-        span.insert(v)
-    before = span.rank
-    span.insert(rows[-1])
-    return span.rank == before
+    """Is candidate in the rational span of the generators?"""
+    generators = list(generators)
+    span = Span(dict.fromkeys(k for c in generators + [candidate] for k in c.terms))
+    for g in generators:
+        span.insert(g)
+    return span.contains(candidate)

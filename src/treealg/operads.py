@@ -5,15 +5,9 @@ multilinear part of the free dendriform algebra."""
 
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from treealg.linalg import EchelonSpan, LinComb, ZERO
-from treealg.trees import (
-    PlanarTree,
-    RootedTree,
-    angles,
-    catalan,
-    pbt_shapes,
-)
-from treealg.dendriform import DendElement, dprec, dsucc, eval_pbt
+from treealg.linalg import LinComb, Span
+from treealg.trees import PlanarTree, RootedTree, angles, pbt_shapes
+from treealg.dendriform import DendElement, dprec, dsucc, eval_pbt, positive_body
 
 
 def corolla(n: int) -> PlanarTree:
@@ -182,6 +176,15 @@ class OperadElement:
         return str(self.combo)
 
 
+def interval_partitions(items, k):
+    """Splittings of an ordered list into k consecutive, possibly empty
+    blocks."""
+    m = len(items)
+    for cuts in combinations_with_replacement(range(m + 1), k - 1):
+        bounds = (0,) + cuts + (m,)
+        yield [items[bounds[i] : bounds[i + 1]] for i in range(k)]
+
+
 def brace_relation_defect(n: int, m: int) -> LinComb:
     """Left minus right side of the corolla relation, composed in the
     planar operad.  The relation rewrites a root composition of two
@@ -195,11 +198,7 @@ def brace_relation_defect(n: int, m: int) -> LinComb:
     lhs = compose_ape(outer, "w", inner)
 
     rhs = LinComb()
-    for cuts in combinations_with_replacement(range(m + 1), 2 * n):
-        bounds = (0,) + cuts + (m,)
-        if any(bounds[i] > bounds[i + 1] for i in range(2 * n + 1)):
-            continue
-        blocks = [ys[bounds[i] : bounds[i + 1]] for i in range(2 * n + 1)]
+    for blocks in interval_partitions(ys, 2 * n + 1):
         children = []
         composite = []
         for i in range(n):
@@ -215,43 +214,16 @@ def brace_relation_defect(n: int, m: int) -> LinComb:
     return lhs - rhs
 
 
-class MultilinearDendSpace:
-    """Degree-n multilinear slice of the free dendriform algebra: basis
-    trees decorated by a permutation of 1..n."""
-
-    def __init__(self, arity: int):
-        self.arity = arity
-        basis = []
-        for shape in pbt_shapes(arity):
-            for perm in permutations(str(i) for i in range(1, arity + 1)):
-                mapping = {str(i + 1): perm[i] for i in range(arity)}
-                basis.append(shape.relabel(mapping))
-        basis.sort(key=str)
-        assert len(basis) == catalan(arity) * _factorial(arity)
-        self.basis = basis
-        self.index = {t: i for i, t in enumerate(basis)}
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def vec(self, e: DendElement):
-        if e.unit:
-            raise ValueError("multilinear elements have no unit part")
-        v = [ZERO] * self.dim
-        for t, c in e.body.terms.items():
-            v[self.index[t]] = c
-        return v
-
-    def element(self, row) -> DendElement:
-        return DendElement(0, LinComb((self.basis[i], c) for i, c in enumerate(row) if c))
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+def multilinear_basis(arity: int):
+    """Basis of the degree-n multilinear slice of the free dendriform
+    algebra: trees decorated by a permutation of 1..n, sorted by str."""
+    basis = []
+    for shape in pbt_shapes(arity):
+        for perm in permutations(str(i) for i in range(1, arity + 1)):
+            mapping = {str(i + 1): perm[i] for i in range(arity)}
+            basis.append(shape.relabel(mapping))
+    basis.sort(key=str)
+    return basis
 
 
 def relabel_element(e: DendElement, mapping) -> DendElement:
@@ -274,8 +246,7 @@ class ClosureResult:
     """Per-arity spans produced by ideal_closure."""
 
     def __init__(self, max_arity):
-        self.spaces = {n: MultilinearDendSpace(n) for n in range(2, max_arity + 1)}
-        self.spans = {n: EchelonSpan(self.spaces[n].dim) for n in range(2, max_arity + 1)}
+        self.spans = {n: Span(multilinear_basis(n)) for n in range(2, max_arity + 1)}
 
     def rank(self, n) -> int:
         return self.spans[n].rank if n in self.spans else 0
@@ -284,14 +255,10 @@ class ClosureResult:
         return {n: self.rank(n) for n in sorted(self.spans)}
 
     def contains(self, n, e: DendElement) -> bool:
-        return self.spans[n].contains(self.spaces[n].vec(e))
+        return self.spans[n].contains(positive_body(e))
 
     def basis_elements(self, n):
-        rows, _ = self.spans[n].rref_rows()
-        return [self.spaces[n].element(r) for r in rows]
-
-    def rref(self, n):
-        return self.spans[n].rref_rows()
+        return [DendElement(0, b) for b in self.spans[n].basis()]
 
 
 def ideal_closure(generators, max_arity: int) -> ClosureResult:
@@ -322,9 +289,9 @@ def ideal_closure(generators, max_arity: int) -> ClosureResult:
     def insert(n, e):
         if e.is_zero():
             return
-        row = result.spans[n].insert(result.spaces[n].vec(e))
+        row = result.spans[n].insert(positive_body(e))
         if row is not None:
-            work.append((n, result.spaces[n].element(row)))
+            work.append((n, DendElement(0, row)))
 
     for n, gens in generators.items():
         if n > max_arity:
@@ -361,5 +328,5 @@ def ideal_closure(generators, max_arity: int) -> ClosureResult:
 def quotient_dims(closure: ClosureResult):
     """dim Dend(n) minus the closed span's rank, per arity."""
     return {
-        n: closure.spaces[n].dim - closure.rank(n) for n in sorted(closure.spans)
+        n: len(span.columns) - span.rank for n, span in sorted(closure.spans.items())
     }

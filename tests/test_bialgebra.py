@@ -1,6 +1,6 @@
 import pytest
 
-from treealg.linalg import LinComb, RatMatrix, kernel_basis
+from treealg.linalg import LinComb, kernel_basis
 from treealg.trees import pbt_basis
 from treealg.dendriform import (
     DEND_ONE,
@@ -121,18 +121,11 @@ def test_reduced_coproduct_degree2_kernel():
     # delta-bar matrix of the degree-2 slice on one generator: both
     # basis trees map to a (x) a, so the kernel is one-dimensional
     trees = sorted(pbt_basis(2, ["a"]), key=str)
-    rows = []
-    pair_index = {}
-    cols = []
-    for t in trees:
-        d = reduced_coproduct(DendElement.from_tree(t))
-        col = {}
-        for key, c in d.combo.terms.items():
-            k = pair_index.setdefault(key, len(pair_index))
-            col[k] = c
-        cols.append(col)
-    rows = [[col.get(i, 0) for col in cols] for i in range(len(pair_index))]
-    assert len(kernel_basis(RatMatrix.from_rows(rows, cols=2))) == 1
+    images = [reduced_coproduct(DendElement.from_tree(t)).combo for t in trees]
+    assert len(images) == 2 and images[0] == images[1]
+    (v,) = kernel_basis(trees, images)
+    # the free column is the second tree; the pivot coefficient solves for it
+    assert v == LinComb([(trees[0], -1), (trees[1], 1)])
 
 
 def test_primitive_dims_catalan():

@@ -5,8 +5,10 @@ monomial of every arity, on both sides (or on the left only, in a
 "left" mode); DendSpan.saturate used to multiply every ideal element by
 every basis tree on all four sides.  Both now multiply by the
 generators only where the dendriform axioms make the rest redundant.
-old_ideal_closure and old_saturate are verbatim copies of the functions
-as they were before; the tests require the same canonical RREF.
+old_ideal_closure and old_saturate are copies of the functions as they
+were before, with only their calls into the spans adapted to the keyed
+Span (rows in and out as combinations); the tests require the same
+canonical RREF.
 """
 
 from itertools import combinations, permutations
@@ -46,9 +48,9 @@ def old_ideal_closure(generators, max_arity: int, mode: str = "two-sided") -> Cl
     def insert(n, e):
         if e.is_zero():
             return
-        row = result.spans[n].insert(result.spaces[n].vec(e))
+        row = result.spans[n].insert(e.body)
         if row is not None:
-            work.append((n, result.spaces[n].element(row)))
+            work.append((n, DendElement(0, row)))
 
     for n, gens in generators.items():
         if n > max_arity:
@@ -63,7 +65,7 @@ def old_ideal_closure(generators, max_arity: int, mode: str = "two-sided") -> Cl
         """All multilinear basis trees decorated by the given letters."""
         m = len(letters)
         mapping = dict(zip([str(j) for j in range(1, m + 1)], sorted(letters)))
-        for t in result.spaces[m].basis:
+        for t in result.spans[m].columns:
             yield t.relabel(mapping)
 
     processed = 0
@@ -103,8 +105,8 @@ def old_saturate(self, seeds):
     the cutoff, which callers defend against with slack + stability.
     """
     by_degree = {}
-    for w, t in zip(self.col_degree, self.columns):
-        by_degree.setdefault(w, []).append(DendElement.from_tree(t))
+    for t in self.span.columns:
+        by_degree.setdefault(self.wdeg(t), []).append(DendElement.from_tree(t))
     work = []
     for e in seeds:
         assert not e.unit, "seeds must have zero unit part"
@@ -114,7 +116,7 @@ def old_saturate(self, seeds):
         if row is not None:
             # echelon remainders span the same ideal as the raw
             # seeds and are sparser
-            work.append(self.element(row))
+            work.append(row)
     processed = 0
     while processed < len(work):
         e = work[processed]
@@ -132,7 +134,7 @@ def old_saturate(self, seeds):
                         continue
                     row = self.insert(prod)
                     if row is not None:
-                        work.append(self.element(row))
+                        work.append(row)
     return self
 
 
@@ -150,7 +152,7 @@ def full_image_seeds(max_arity):
 
 def assert_same_closure(new, old, max_arity, name=""):
     for n in range(2, max_arity + 1):
-        assert new.rref(n) == old.rref(n), (name, n)
+        assert new.basis_elements(n) == old.basis_elements(n), (name, n)
 
 
 def test_ideal_closure_matches_monomial_closure():
@@ -215,7 +217,7 @@ ENVELOPES = {
 def assert_same_saturation(seeds, cutoff, alphabet, weights=None, name=""):
     new = s_closure(seeds, cutoff, alphabet=alphabet, weights=weights)
     old = old_saturate(DendSpan(alphabet, cutoff, weights), seeds)
-    assert new.span.rref_rows() == old.span.rref_rows(), name
+    assert new.span.basis() == old.span.basis(), name
     return new
 
 

@@ -167,6 +167,29 @@ def test_s_closure_rejects_unit_seed_under_optimize():
     assert out.returncode == 0, out.stderr
 
 
+BAD_WEIGHT_RUNNER = """
+from treealg.dendriform import DendElement, s_closure
+assert False, "this runner must run under python -O"
+a = DendElement.generator("a")
+for weights in ({"a": 0}, {"a": -1}, {"a": 1.5}, {"b": 1}):
+    try:
+        s_closure([a], 2, alphabet=["a"], weights=weights)
+    except ValueError as exc:
+        assert "'a'" in str(exc), exc
+        continue
+    raise SystemExit("no ValueError for %r" % weights)
+"""
+
+
+def test_s_closure_rejects_bad_weight_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", BAD_WEIGHT_RUNNER], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+
+
 def test_pli_counts():
     from math import comb
 

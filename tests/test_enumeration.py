@@ -17,7 +17,6 @@ from treealg.dendriform import DendElement, eval_pbt, psi_corolla, upcomb
 from treealg.envelope import (
     BraceStructure,
     TruncatedQuotient,
-    _interval_partitions,
     _named,
     _structure_roundtrip,
     build_envelope,
@@ -29,6 +28,7 @@ from treealg.envelope import (
     weighted_tuples,
 )
 from treealg.linalg import LinComb
+from treealg.operads import interval_partitions
 
 
 def old_validate_brace(b: BraceStructure, arity_bound: int):
@@ -51,7 +51,7 @@ def old_validate_brace(b: BraceStructure, arity_bound: int):
                                 continue
                         lhs = b.brace_multi(b.brace(z, xs), [LinComb.single(y) for y in ys])
                         rhs = LinComb()
-                        for blocks in _interval_partitions(list(ys), 2 * n + 1):
+                        for blocks in interval_partitions(list(ys), 2 * n + 1):
                             args = []
                             for i in range(n):
                                 args.extend(LinComb.single(y) for y in blocks[2 * i])

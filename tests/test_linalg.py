@@ -2,13 +2,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from treealg.linalg import (
     EchelonSpan,
     LinComb,
-    RatMatrix,
+    Span,
     combine,
     kernel_basis,
-    rowreduce,
     span_contains,
     to_int_row,
 )
@@ -49,16 +50,27 @@ def test_lincomb_str_sorted():
     assert str(LinComb()) == "0"
 
 
+def row_span(rows):
+    """Span of integer rows, one key per column."""
+    span = Span(range(len(rows[0])))
+    for r in rows:
+        span.insert(LinComb(enumerate(r)))
+    return span
+
+
+def column_images(rows):
+    """The matrix as a map: column j goes to sum_i rows[i][j] * e_i."""
+    return [LinComb((i, r[j]) for i, r in enumerate(rows)) for j in range(len(rows[0]))]
+
+
 def test_rowreduce_identity():
-    m = RatMatrix.from_rows([[1, 0], [0, 1]])
-    ech, rank, pivots = rowreduce(m)
-    assert rank == 2 and pivots == (0, 1)
-    assert ech.entries == [[1, 0], [0, 1]]
+    span = row_span([[1, 0], [0, 1]])
+    assert span.rank == 2 and span.pivot_keys() == [0, 1]
+    assert span.basis() == [LinComb.single(0), LinComb.single(1)]
 
 
 def test_rowreduce_proportional_rows():
-    _, rank, _ = rowreduce(RatMatrix.from_rows([[1, 2], [2, 4]]))
-    assert rank == 1
+    assert row_span([[1, 2], [2, 4]]).rank == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -70,8 +82,7 @@ def test_rowreduce_proportional_rows():
     )
 )
 def test_rank_matches_determinant_oracle(rows):
-    _, rank, _ = rowreduce(RatMatrix.from_rows(rows))
-    assert (rank == 4) == (det_cofactor(rows) != 0)
+    assert (row_span(rows).rank == 4) == (det_cofactor(rows) != 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -83,28 +94,56 @@ def test_rank_matches_determinant_oracle(rows):
     )
 )
 def test_rank_equals_transpose_rank(rows):
-    m = RatMatrix.from_rows(rows)
-    assert rowreduce(m)[1] == rowreduce(m.transpose())[1]
+    transpose = [list(col) for col in zip(*rows)]
+    assert row_span(rows).rank == row_span(transpose).rank
 
 
 def test_rowreduce_is_rref():
-    m = RatMatrix.from_rows([[2, 4, 1], [1, 2, 0], [0, 0, 3]])
-    ech, rank, pivots = rowreduce(m)
-    assert rank == 2
-    for i, p in enumerate(pivots):
-        assert ech.entries[i][p] == 1
-        for j in range(rank):
+    span = row_span([[2, 4, 1], [1, 2, 0], [0, 0, 3]])
+    basis = span.basis()
+    assert span.rank == len(basis) == 2
+    for i, p in enumerate(span.pivot_keys()):
+        assert basis[i].coeff(p) == 1
+        for j in range(len(basis)):
             if j != i:
-                assert ech.entries[j][p] == 0
+                assert basis[j].coeff(p) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_basis_is_reduced_echelon(rows):
+    span = row_span(rows)
+    basis = span.basis()
+    pivots = span.pivot_keys()
+    assert len(basis) == span.rank and pivots == sorted(pivots)
+    for i, (b, p) in enumerate(zip(basis, pivots)):
+        # pivot 1, nothing before it, zeros at every other pivot
+        assert b.coeff(p) == 1 and min(b.terms) == p
+        for j, q in enumerate(pivots):
+            if j != i:
+                assert b.coeff(q) == 0
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(RatMatrix.from_rows([[1, 0], [0, 1]])) == []
+    assert kernel_basis([0, 1], column_images([[1, 0], [0, 1]])) == []
 
 
 def test_kernel_one_equation():
-    (v,) = kernel_basis(RatMatrix.from_rows([[1, 1]]))
-    assert v[0] * 1 + v[1] * 1 == 0 and any(v)
+    (v,) = kernel_basis(["x", "y"], column_images([[1, 1]]))
+    assert v.coeff("x") + v.coeff("y") == 0 and v
+
+
+def test_kernel_of_zero_map_is_everything():
+    assert kernel_basis(["x", "y"], [LinComb(), LinComb()]) == [
+        LinComb.single("x"),
+        LinComb.single("y"),
+    ]
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,12 +155,68 @@ def test_kernel_one_equation():
     )
 )
 def test_kernel_vectors_are_exact(rows):
-    m = RatMatrix.from_rows(rows)
-    basis = kernel_basis(m)
-    assert len(basis) == m.cols - rowreduce(m)[1]
+    basis = kernel_basis(list(range(6)), column_images(rows))
+    assert len(basis) == 6 - row_span(rows).rank
     for v in basis:
         for row in rows:
-            assert sum(a * b for a, b in zip(row, v)) == 0
+            assert sum(row[j] * c for j, c in v.terms.items()) == 0
+    if basis:
+        assert row_span([[v.coeff(j) for j in range(6)] for v in basis]).rank == len(basis)
+
+
+def test_span_foreign_key_raises():
+    span = Span(["x", "y"])
+    for call in (span.insert, span.contains, span.reduce):
+        with pytest.raises(KeyError):
+            call(LinComb.single("z"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+        min_size=1,
+        max_size=4,
+    ),
+    st.lists(st.integers(min_value=-5, max_value=5), min_size=4, max_size=4),
+)
+def test_span_reduce_is_projection(rows, vec):
+    span = row_span(rows)
+    v = LinComb(enumerate(vec))
+    r = span.reduce(v)
+    assert span.reduce(r) == r
+    assert all(r.coeff(p) == 0 for p in span.pivot_keys())
+    assert span.contains(v - r)
+    assert span.contains(v) == r.is_zero()
+
+
+def test_span_insert_returns_remainder_on_growth_only():
+    x, y, z = (LinComb.single(k) for k in "xyz")
+    span = Span("xyz")
+    assert span.insert(x + y) == x + y
+    assert span.insert((x + y).scale(3)) is None
+    rest = span.insert(x + z)
+    # the remainder up to scale: x + z minus the span's x + y
+    assert rest is not None and rest.coeff("x") == 0
+    assert rest == (z - y).scale(rest.coeff("z"))
+    assert span.rank == 2
+    assert span.insert(y - z) is None
+    assert span.rank == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+        min_size=1,
+        max_size=5,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_span_basis_independent_of_insertion_order(rows, rnd):
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert row_span(rows).basis() == row_span(shuffled).basis()
 
 
 def test_span_contains_examples():
