@@ -1,81 +1,92 @@
-"""Integer elimination kernel.
+"""Elimination kernel on sparse rows.
 
-Rows are Python lists of arbitrary-precision ints; a row represents a
-rational vector up to positive scale.  ``treealg.linalg`` clears
-denominators and runs every elimination through these three functions.
+A row is a ``dict`` column -> nonzero coefficient; columns are ints
+and their order is the elimination order.  A set of echelon rows is a
+``dict`` keyed by pivot, the row's smallest column.  Integer rows
+represent a rational vector up to positive scale and are stored
+content-free with a positive pivot.  ``treealg.linalg`` clears
+denominators and runs every elimination through ``eliminate``.
+``BACKEND`` and the names ``normalize_row``, ``reduce_row`` and
+``rref`` stay for the benchmark's tracer (ROADMAP item 1).
 """
 
-from bisect import bisect
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 BACKEND = "python"
 
 
-def normalize_row(v):
-    """Divide by the content and make the first nonzero entry positive."""
-    g = 0
-    for x in v:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                break
-    if g == 0:
-        return list(v)
-    for x in v:
-        if x:
-            if x < 0:
-                g = -g
-            break
-    return [x // g for x in v]
+def fraction_free(c, q):
+    """Multipliers (mv, mr) of the integer step v = mv*v - mr*r that
+    clears v[p] = c against r[p] = q > 0; mv is positive."""
+    g = gcd(c, q)
+    return q // g, c // g
 
 
-def reduce_row(v, rows, pivots):
-    """Eliminate v at the given pivot columns; return the normalized rest.
+def eliminate(v, rows, step):
+    """Eliminate v at the pivots of ``rows``; return the rest as a new dict.
 
-    ``rows`` must be in echelon form with strictly increasing ``pivots``
-    and positive pivot entries.
+    Pivot columns are visited in increasing order from a heap.  At the
+    pivot p of row r, ``step(v[p], r[p])`` gives (mv, mr) and v becomes
+    ``mv*v - mr*r``.
     """
-    v = list(v)
-    for r, p in zip(rows, pivots):
-        c = v[p]
-        if c:
-            q = r[p]
-            g = gcd(c, q)
-            mv = q // g
-            mr = c // g
-            v = [mv * a - mr * b for a, b in zip(v, r)]
-    return normalize_row(v)
+    v = dict(v)
+    heap = [k for k in v if k in rows]
+    heapify(heap)
+    while heap:
+        p = heappop(heap)
+        c = v.get(p)
+        if not c:
+            continue
+        r = rows[p]
+        mv, mr = step(c, r[p])
+        if mv != 1:
+            v = {k: mv * a for k, a in v.items()}
+        for k, b in r.items():
+            a = v.get(k)
+            if a is None:
+                v[k] = -mr * b
+                if k in rows:
+                    heappush(heap, k)
+                continue
+            a -= mr * b
+            if a:
+                v[k] = a
+            else:
+                del v[k]
+    return v
 
 
-def rref(mat, ncols):
+def normalize_row(v):
+    """Divide by the content and make the pivot entry positive."""
+    if not v:
+        return {}
+    g = gcd(*v.values())
+    if v[min(v)] < 0:
+        g = -g
+    return {k: x // g for k, x in v.items()}
+
+
+def reduce_row(v, rows):
+    """The normalized rest of the integer row v after elimination
+    against the echelon rows ``rows``."""
+    return normalize_row(eliminate(v, rows, fraction_free))
+
+
+def rref(mat):
     """Reduced row echelon form of integer rows, up to positive row scale.
 
-    Returns (rows, pivots) with rows sorted by pivot, each content-free
-    with positive pivot, and zero above and below every pivot.
+    Returns the rows as a dict keyed by pivot in increasing order, each
+    content-free with positive pivot and zero at every other pivot.
     """
-    rows = []
-    pivots = []
+    rows = {}
     for v in mat:
-        w = reduce_row(v, rows, pivots)
-        p = -1
-        for i in range(ncols):
-            if w[i]:
-                p = i
-                break
-        if p >= 0:
-            k = bisect(pivots, p)
-            rows.insert(k, w)
-            pivots.insert(k, p)
-    for i in range(len(rows) - 1, -1, -1):
-        r = rows[i]
-        p = pivots[i]
-        q = r[p]
-        for j in range(i):
-            u = rows[j]
-            c = u[p]
-            if c:
-                g = gcd(c, q)
-                mu = q // g
-                mr = c // g
-                rows[j] = normalize_row([mu * a - mr * b for a, b in zip(u, r)])
-    return rows, pivots
+        w = reduce_row(v, rows)
+        if w:
+            rows[min(w)] = w
+    # back-substitution, last pivot first: each row is reduced against
+    # the already reduced rows of larger pivot
+    done = {}
+    for p in sorted(rows, reverse=True):
+        done[p] = normalize_row(eliminate(rows[p], done, fraction_free))
+    return {p: done[p] for p in sorted(done)}

@@ -5,17 +5,19 @@ precision, always reduced, positive denominator).  The rest of the
 package does linear algebra in ``LinComb``s only: a ``Span`` over an
 ordered list of keys, and ``kernel_basis`` of a map given by the
 images of its columns.  These two are the only place where a
-combination becomes a coordinate row.  Rows are dense; after clearing
-denominators, every elimination runs on integer rows in the
-pure-Python kernel ``treealg._kernel``.
+combination becomes a coordinate row.  Rows are sparse: a ``dict``
+from column index to coefficient that stores no zero.  ``reduce``
+eliminates a ``Fraction`` row exactly; everything else clears
+denominators and eliminates integer rows in ``treealg._kernel``.
 
-``EchelonSpan`` is ``Span``'s engine on dense rows and keeps its name,
-as do ``to_int_row``, ``kernel_basis`` and ``_kernel``: the benchmark's
-tracer (``perfbench/tracer.py``) wraps them by name and reads the
-dense vector that ``EchelonSpan`` receives.
+``EchelonSpan`` (``Span``'s engine), ``to_int_row`` and ``_kernel``
+with its ``BACKEND``, ``reduce_row`` and ``rref`` keep their names
+only because the benchmark's tracer (``perfbench/tracer.py``) wraps
+or reads them by name; folding them into ``Span`` waits for the
+benchmark change of ROADMAP item 1.
 """
 
-from bisect import bisect
+from bisect import insort
 from fractions import Fraction
 from math import lcm
 
@@ -155,74 +157,67 @@ def combine(a: LinComb, c, b: LinComb) -> LinComb:
     return out
 
 
-def to_int_row(vec) -> list:
-    """Clear denominators of a Fraction/int vector (positive scale)."""
+def to_int_row(vec) -> dict:
+    """Clear denominators of a sparse Fraction/int row (positive scale)."""
     mult = 1
-    for x in vec:
+    for x in vec.values():
         if isinstance(x, Fraction) and x.denominator != 1:
             mult = lcm(mult, x.denominator)
     if mult == 1:
-        return [int(x) for x in vec]
-    return [int(x * mult) for x in vec]
+        return {k: int(x) for k, x in vec.items()}
+    return {k: int(x * mult) for k, x in vec.items()}
 
 
 class EchelonSpan:
-    """Growing row space in forward echelon form over integer rows.
+    """Growing row space in forward echelon form over sparse integer rows.
 
-    insert() reduces a vector against the current rows and keeps the
-    remainder when it is nonzero.  Rows are kept sorted by pivot with
-    positive content-free pivots; the canonical reduced form is
-    computed on demand by rref_rows().
+    insert() reduces a row against the current rows and keeps the
+    remainder when it is nonzero.  Rows are content-free with positive
+    pivots and are stored in a dict keyed by pivot, beside the sorted
+    list of pivots; the canonical reduced form is computed on demand
+    by rref_rows().
     """
 
-    __slots__ = ("ncols", "rows", "pivots")
+    __slots__ = ("rows", "pivots")
 
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []
+    def __init__(self):
+        self.rows = {}
         self.pivots = []
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def residual(self, vec):
         """Normalized integer remainder of vec after elimination."""
-        return _kernel.reduce_row(to_int_row(vec), self.rows, self.pivots)
+        return _kernel.reduce_row(to_int_row(vec), self.rows)
 
     def contains(self, vec) -> bool:
-        return not any(self.residual(vec))
+        return not self.residual(vec)
 
     def insert(self, vec):
         """Adjoin vec; returns the stored remainder row if the rank grew,
         None otherwise."""
         w = self.residual(vec)
-        for p in range(self.ncols):
-            if w[p]:
-                k = bisect(self.pivots, p)
-                self.rows.insert(k, w)
-                self.pivots.insert(k, p)
-                return w
-        return None
+        if not w:
+            return None
+        p = min(w)
+        self.rows[p] = w
+        insort(self.pivots, p)
+        return w
 
     def reduce_exact(self, vec):
-        """Exact remainder of a Fraction vector modulo the row space.
+        """Exact remainder of a sparse Fraction row modulo the row space.
 
         Unlike residual(), no rescaling: this is the Q-linear projection
         onto the complement of the pivot columns.
         """
-        v = [rat(x) for x in vec]
-        for r, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                f = Fraction(c, r[p])
-                v = [a - f * b for a, b in zip(v, r)]
-        return v
+        return _kernel.eliminate(vec, self.rows, lambda c, q: (1, Fraction(c, q)))
 
     def rref_rows(self):
-        """Canonical basis of the span: RREF rows with pivot 1."""
-        rows, pivots = _kernel.rref([list(r) for r in self.rows], self.ncols)
-        return [[Fraction(x, r[p]) for x in r] for r, p in zip(rows, pivots)], pivots
+        """Canonical basis of the span: RREF rows with pivot 1, by pivot."""
+        rows = _kernel.rref(self.rows[p] for p in self.pivots)
+        return [{k: Fraction(x, r[p]) for k, x in r.items()} for p, r in rows.items()]
 
 
 class Span:
@@ -238,16 +233,13 @@ class Span:
     def __init__(self, columns):
         self.columns = list(columns)
         self.index = {k: i for i, k in enumerate(self.columns)}
-        self.echelon = EchelonSpan(len(self.columns))
+        self.echelon = EchelonSpan()
 
     def _vec(self, combo):
-        v = [ZERO] * len(self.columns)
-        for k, c in combo.terms.items():
-            v[self.index[k]] = c
-        return v
+        return {self.index[k]: c for k, c in combo.terms.items()}
 
     def _combo(self, row) -> LinComb:
-        return LinComb((self.columns[i], c) for i, c in enumerate(row) if c)
+        return LinComb((self.columns[i], row[i]) for i in sorted(row))
 
     @property
     def rank(self):
@@ -269,8 +261,7 @@ class Span:
 
     def basis(self):
         """Canonical basis: the reduced echelon rows, pivot coefficient 1."""
-        rows, _ = self.echelon.rref_rows()
-        return [self._combo(r) for r in rows]
+        return [self._combo(r) for r in self.echelon.rref_rows()]
 
     def pivot_keys(self):
         return [self.columns[p] for p in self.echelon.pivots]
@@ -282,22 +273,15 @@ def kernel_basis(columns, images):
     rows = {}
     for j, image in enumerate(images):
         for k, c in image.terms.items():
-            if k not in rows:
-                rows[k] = [ZERO] * len(columns)
-            rows[k][j] = c
-    ech, pivots = _kernel.rref([to_int_row(r) for r in rows.values()], len(columns))
-    pivot_set = set(pivots)
-    out = []
-    for free in range(len(columns)):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * len(columns)
-        v[free] = ONE
-        for r, p in zip(ech, pivots):
-            if r[free]:
-                v[p] = Fraction(-r[free], r[p])
-        out.append(LinComb((columns[i], c) for i, c in enumerate(v) if c))
-    return out
+            rows.setdefault(k, {})[j] = c
+    ech = _kernel.rref(to_int_row(r) for r in rows.values())
+    out = {free: {free: ONE} for free in range(len(columns)) if free not in ech}
+    for p, r in ech.items():
+        for k, x in r.items():
+            if k != p:
+                # in RREF every non-pivot entry sits in a free column
+                out[k][p] = Fraction(-x, r[p])
+    return [LinComb((columns[i], v[i]) for i in sorted(v)) for v in out.values()]
 
 
 def span_contains(generators, candidate: LinComb) -> bool:

@@ -260,13 +260,14 @@ def suite_zin_quotient(bound=4):
             fact *= i
         if dims_b[n] != fact:
             defects.append({"arity": n, "quotient_dim": dims_b[n], "expected": fact})
-        if cl_brace.basis_elements(n) != cl_prelie.basis_elements(n):
+        basis_n = cl_brace.basis_elements(n)
+        if basis_n != cl_prelie.basis_elements(n):
             defects.append({"arity": n, "case": "ideals differ"})
         # word evaluation: kills the closure, surjective on words
         span = Span(
             sorted(words.Word(p) for p in permutations([str(i) for i in range(1, n + 1)]))
         )
-        for e in cl_brace.basis_elements(n):
+        for e in basis_n:
             img = words.zin_eval(e)
             if not img.is_zero():
                 defects.append({"arity": n, "case": "closure escapes kernel", "element": str(e)})

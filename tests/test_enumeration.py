@@ -214,7 +214,7 @@ def old_theta_roundtrip(n_gens: int, bound: int, slack: int = 0) -> dict:
     the evaluation map, and coproduct intertwining on the up-comb
     monomials of primitives.
     """
-    from treealg.linalg import EchelonSpan, ZERO
+    from treealg.linalg import Span
     from treealg.trees import catalan, pbt_basis
 
     alphabet = [chr(ord("a") + i) for i in range(n_gens)]
@@ -243,14 +243,10 @@ def old_theta_roundtrip(n_gens: int, bound: int, slack: int = 0) -> dict:
     classes = q.quotient_trees()
     for d in range(1, bound + 1):
         basis = sorted(pbt_basis(d, alphabet), key=str)
-        index = {t: i for i, t in enumerate(basis)}
-        span = EchelonSpan(len(basis))
+        span = Span(basis)
         for t in classes.get(d, []):
             img = theta(DendElement.from_tree(t))
-            v = [ZERO] * len(basis)
-            for u, c in img.body.terms.items():
-                v[index[u]] = c
-            span.insert(v)
+            span.insert(img.body)
         surjective[d] = span.rank == len(basis)
 
     intertwined = True

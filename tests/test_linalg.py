@@ -231,27 +231,28 @@ def test_span_contains_rank_invariant():
     cand = gens[0] + gens[1].scale(Fraction(3, 7))
     assert span_contains(gens, cand)
     keys = ["x", "y", "z"]
-    span = EchelonSpan(3)
+    span = EchelonSpan()
     for g in gens:
-        span.insert([g.coeff(k) for k in keys])
+        span.insert({keys.index(k): c for k, c in g.terms.items()})
     before = span.rank
-    span.insert([cand.coeff(k) for k in keys])
+    span.insert({keys.index(k): c for k, c in cand.terms.items()})
     assert span.rank == before
 
 
 def test_echelon_span_reduce_exact_is_projection():
-    span = EchelonSpan(3)
-    span.insert([1, 1, 0])
-    v = [Fraction(3), Fraction(1), Fraction(2)]
+    span = EchelonSpan()
+    span.insert({0: 1, 1: 1})
+    v = {0: Fraction(3), 1: Fraction(1), 2: Fraction(2)}
     r = span.reduce_exact(v)
     assert r == span.reduce_exact(r)
-    assert r[0] == 0
-    assert span.contains([a - b for a, b in zip(v, r)])
+    assert 0 not in r
+    assert span.contains({k: x - r.get(k, 0) for k, x in v.items() if x != r.get(k, 0)})
+    assert r == {1: -2, 2: 2}
 
 
 def test_to_int_row_clears_denominators():
-    assert to_int_row([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
-    assert to_int_row([2, -1]) == [2, -1]
+    assert to_int_row({0: Fraction(1, 2), 3: Fraction(1, 3)}) == {0: 3, 3: 2}
+    assert to_int_row({1: 2, 2: -1}) == {1: 2, 2: -1}
 
 
 def test_rational_string_forms():
