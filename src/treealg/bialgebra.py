@@ -142,7 +142,8 @@ def coproduct(e: DendElement) -> TensorSquareElement:
 
 def reduced_coproduct(e: DendElement) -> TensorSquareElement:
     """delta(x) - x(x)1 - 1(x)x on the positive part."""
-    assert not e.unit, "reduced coproduct applies to the positive part"
+    if e.unit:
+        raise ValueError("reduced coproduct applies to the positive part")
     d = coproduct(e)
     d = d - TensorSquareElement.from_product(e, DendElement.one())
     d = d - TensorSquareElement.from_product(DendElement.one(), e)
@@ -157,8 +158,10 @@ def compat_defect(x: DendElement, y: DendElement, side: str) -> TensorSquareElem
     """delta(x # y) minus the Sweedler expansion (x1*y1)(x)(x2 # y2)
     + (x # y)(x)1, the ghost term with both right legs 1 omitted.
     side is '<' or '>'."""
-    assert side in ("<", ">")
-    assert not x.unit and not y.unit, "compatibility is stated on the positive part"
+    if side not in ("<", ">"):
+        raise ValueError("side must be '<' or '>', got %r" % (side,))
+    if x.unit or y.unit:
+        raise ValueError("compatibility is stated on the positive part")
     op = dprec if side == "<" else dsucc
     prod = op(x, y)
     lhs = coproduct(prod)
@@ -180,7 +183,8 @@ def _leg(key) -> DendElement:
 def primitives(degree: int, alphabet) -> list:
     """Basis of the primitive part of the given degree, in reduced
     echelon form over the canonical tree order."""
-    assert degree >= 1
+    if degree < 1:
+        raise ValueError("degree must be at least 1, got %r" % (degree,))
     if isinstance(alphabet, int):
         alphabet = [chr(ord("a") + i) for i in range(alphabet)]
     # expression-string order puts the < combs first, so the echelon
@@ -208,7 +212,8 @@ def brace_on_primitives(args) -> DendElement:
     """Brace operation {x1 | x2,...,xn} on primitives, realized as the
     corolla image; the output is primitive again (verified)."""
     args = list(args)
-    assert args
+    if not args:
+        raise ValueError("a brace needs at least one argument")
     for x in args:
         if not is_primitive(x):
             raise ValueError("argument %s is not primitive" % x)

@@ -232,7 +232,8 @@ def psi_corolla(args, sign_offset=1) -> DendElement:
     kept only so the oracle can reject it.
     """
     n1 = len(args)
-    assert n1 >= 2
+    if n1 < 2:
+        raise ValueError("a corolla image needs at least 2 arguments, got %d" % n1)
     out = DendElement()
     for i in range(1, n1 + 1):
         up = upcomb(args[1:i])
@@ -285,7 +286,8 @@ def eval_pbt(t, assign) -> DendElement:
 def pli(p: int, q: int):
     """Permutations of 1..p+q decreasing on the first p positions and
     increasing on the last q; the shuffles with the first part reversed."""
-    assert p >= 1 and q >= 1
+    if p < 1 or q < 1:
+        raise ValueError("pli needs p, q >= 1, got %r, %r" % (p, q))
     out = []
     for sigma in permutations(range(1, p + q + 1)):
         if all(sigma[i] > sigma[i + 1] for i in range(p - 1)) and all(

@@ -12,7 +12,8 @@ from treealg.dendriform import DendElement, dprec, dsucc, eval_pbt, positive_bod
 
 def corolla(n: int) -> PlanarTree:
     """The n-leaf corolla: root '1' with leaf children '2'..'n+1'."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError("corolla size must be >= 0, got %r" % (n,))
     return PlanarTree("1", [PlanarTree(str(i)) for i in range(2, n + 2)])
 
 
@@ -142,19 +143,22 @@ class OperadElement:
     __slots__ = ("species", "arity", "combo")
 
     def __init__(self, species, arity, combo):
-        assert species in ("planar", "nonplanar")
+        if species not in ("planar", "nonplanar"):
+            raise ValueError("unknown operad species %r" % (species,))
         self.species = species
         self.arity = arity
         self.combo = combo if isinstance(combo, LinComb) else LinComb.single(combo)
         want = {str(i) for i in range(1, arity + 1)}
         for t in self.combo.terms:
-            assert set(t.labels()) == want and len(t.labels()) == arity, (
-                "labels of %s are not 1..%d" % (t, arity)
-            )
+            if set(t.labels()) != want or len(t.labels()) != arity:
+                raise ValueError("labels of %s are not 1..%d" % (t, arity))
 
     def circ(self, i, other) -> "OperadElement":
         """Partial composition at slot i with 1..n renumbering."""
-        assert 1 <= i <= self.arity and other.species == self.species
+        if not 1 <= i <= self.arity:
+            raise ValueError("slot %r outside 1..%d" % (i, self.arity))
+        if other.species != self.species:
+            raise ValueError("cannot compose %s into %s" % (other.species, self.species))
         k = other.arity
         outer_map = {str(j): str(j + k - 1) for j in range(i + 1, self.arity + 1)}
         outer_map[str(i)] = "@"
@@ -190,7 +194,8 @@ def brace_relation_defect(n: int, m: int) -> LinComb:
     planar operad.  The relation rewrites a root composition of two
     corollas as the sum over partitions of the ordered arguments
     y_1..y_m into 2n+1 consecutive, possibly empty intervals."""
-    assert n >= 1 and m >= 1
+    if n < 1 or m < 1:
+        raise ValueError("relation needs n, m >= 1, got %r, %r" % (n, m))
     xs = ["x%d" % i for i in range(1, n + 1)]
     ys = ["y%d" % i for i in range(1, m + 1)]
     inner = corolla_tree("z", xs)

@@ -435,7 +435,8 @@ def _structure_to_tree(struct, labels, pos):
 
 def planar_shapes(n):
     """All planar rooted shapes on n vertices, preorder-labeled 1..n."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("a planar shape needs n >= 1, got %r" % (n,))
     labels = [str(i) for i in range(1, n + 1)]
     return [_structure_to_tree(s, labels, [0]) for s in _planar_structures(n)]
 
@@ -443,7 +444,8 @@ def planar_shapes(n):
 def planar_trees(labels):
     """All planar rooted trees on the given distinct labels."""
     labels = list(labels)
-    assert len(set(labels)) == len(labels)
+    if len(set(labels)) != len(labels):
+        raise DuplicateLabelError("duplicate label in %r" % (labels,))
     out = []
     for s in _planar_structures(len(labels)):
         for perm in permutations(labels):
@@ -479,13 +481,15 @@ def _pbt_range(lo, hi):
 
 def pbt_shapes(n):
     """All binary shapes with n internal nodes, infix-labeled 1..n."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError("pbt size must be >= 0, got %r" % (n,))
     return _pbt_range(1, n)
 
 
 def pbt_basis(degree, alphabet):
     """All decorated PBTs of the given degree over the alphabet."""
-    assert degree >= 1
+    if degree < 1:
+        raise ValueError("degree must be at least 1, got %r" % (degree,))
     alphabet = list(alphabet)
     out = []
     for shape in pbt_shapes(degree):

@@ -91,7 +91,7 @@ def test_compat_defects_generators():
 
 
 def test_compat_defect_rejects_unit_part():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         compat_defect(DEND_ONE, B, "<")
 
 

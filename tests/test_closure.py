@@ -22,7 +22,7 @@ from treealg.envelope import (
 )
 from treealg.linalg import EchelonSpan, LinComb
 from treealg.operads import ClosureResult, _graft, ideal_closure, phi, relabel_element
-from treealg.suites import _labeled_corollas, _psi_of_labeled, prelie_image_closure
+from treealg.suites import _corolla_images, _psi_of_labeled
 from treealg.trees import planar_trees, rooted_trees
 
 
@@ -139,7 +139,7 @@ def old_saturate(self, seeds):
 
 
 def corolla_seeds(arities):
-    return {n: [_psi_of_labeled(t, n) for t in _labeled_corollas(n)] for n in arities}
+    return {n: _corolla_images(n) for n in arities}
 
 
 def full_image_seeds(max_arity):
@@ -173,7 +173,7 @@ def test_prelie_closure_matches_monomial_closure():
     for n in range(2, 5):
         args = [DendElement.generator(str(i)) for i in range(1, n + 1)]
         gens[n] = [psi_eval(phi(t), args) for t in rooted_trees([str(i) for i in range(1, n + 1)])]
-    assert_same_closure(prelie_image_closure(4), old_ideal_closure(gens, 4), 4)
+    assert_same_closure(ideal_closure(gens, 4), old_ideal_closure(gens, 4), 4)
 
 
 def test_brace_closure_matches_with_fewer_inserts(monkeypatch):

@@ -18,9 +18,8 @@ from treealg.operads import (
     phi,
     quotient_dims,
 )
-from treealg.suites import brace_image_closure
 
-from test_closure import full_image_seeds, old_ideal_closure
+from test_closure import corolla_seeds, full_image_seeds, old_ideal_closure
 
 
 def test_compose_ape_leaf():
@@ -236,7 +235,7 @@ def test_closure_relabel_stability_arity3():
     from itertools import permutations
     from treealg.operads import relabel_element
 
-    cl = brace_image_closure(3)
+    cl = ideal_closure(corolla_seeds(range(2, 4)), 3)
     letters = ["1", "2", "3"]
     for e in cl.basis_elements(3):
         for perm in permutations(letters):
@@ -244,7 +243,7 @@ def test_closure_relabel_stability_arity3():
 
 
 def test_left_ideal_of_full_image_is_two_sided():
-    two = brace_image_closure(4)
+    two = ideal_closure(corolla_seeds(range(2, 5)), 4)
     left = old_ideal_closure(full_image_seeds(4), 4, "left")
     for n in (2, 3, 4):
         assert left.basis_elements(n) == two.basis_elements(n)

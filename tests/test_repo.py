@@ -1,10 +1,14 @@
-"""Repository hygiene: nothing that .gitignore excludes is tracked, and
-every name the benchmark's tracer wraps or reads still exists."""
+"""Repository hygiene: nothing that .gitignore excludes is tracked,
+every name the benchmark's tracer wraps or reads still exists, and no
+argument check in the library is an assert, which python -O strips."""
 
+import ast
 import importlib
 import importlib.util
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,66 @@ def test_benchmark_hooks_resolve():
         else:
             assert callable(getattr(owner, attr, None)), attr
     assert importlib.import_module("treealg._kernel").BACKEND
+
+
+def test_no_assert_in_src():
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted((ROOT / "src" / "treealg").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+OPTIMIZED_CHECKS = """
+from treealg.bialgebra import brace_on_primitives, compat_defect, primitives, reduced_coproduct
+from treealg.dendriform import DendElement, pli, psi_corolla
+from treealg.operads import OperadElement, brace_relation_defect, corolla
+from treealg.trees import (
+    DuplicateLabelError, parse_planar, pbt_basis, pbt_shapes, planar_shapes, planar_trees,
+)
+assert False, "this runner must run under python -O"
+
+a = DendElement.generator("a")
+one = OperadElement("planar", 1, parse_planar("1"))
+calls = {
+    "primitives(0, 1)": (lambda: primitives(0, 1), ValueError),
+    "compat_defect side": (lambda: compat_defect(a, a, "?"), ValueError),
+    "compat_defect unit": (lambda: compat_defect(DendElement.one() + a, a, "<"), ValueError),
+    "psi_corolla([a])": (lambda: psi_corolla([a]), ValueError),
+    "reduced_coproduct(1 + a)": (lambda: reduced_coproduct(DendElement.one() + a), ValueError),
+    "brace_on_primitives([])": (lambda: brace_on_primitives([]), ValueError),
+    "pli(0, 1)": (lambda: pli(0, 1), ValueError),
+    "corolla(-1)": (lambda: corolla(-1), ValueError),
+    "OperadElement species": (lambda: OperadElement("tree", 1, parse_planar("1")), ValueError),
+    "OperadElement labels": (lambda: OperadElement("planar", 2, parse_planar("1(3)")), ValueError),
+    "circ slot": (lambda: one.circ(2, one), ValueError),
+    "circ species": (lambda: one.circ(1, OperadElement("nonplanar", 1, one.combo)), ValueError),
+    "brace_relation_defect(0, 1)": (lambda: brace_relation_defect(0, 1), ValueError),
+    "planar_shapes(0)": (lambda: planar_shapes(0), ValueError),
+    "planar_trees duplicate": (lambda: planar_trees(["1", "1"]), DuplicateLabelError),
+    "pbt_shapes(-1)": (lambda: pbt_shapes(-1), ValueError),
+    "pbt_basis(0, 'a')": (lambda: pbt_basis(0, "a"), ValueError),
+}
+missed = []
+for name, (call, error) in calls.items():
+    try:
+        call()
+        missed.append(name)
+    except error:
+        pass
+    except Exception as exc:
+        missed.append("%s: %r" % (name, exc))
+print(missed)
+"""
+
+
+def test_argument_checks_survive_optimize():
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
