@@ -68,11 +68,12 @@ class TensorSquareElement:
     def __rmul__(self, c):
         return self.scale(c)
 
-    def map_legs(self, f_left, f_right):
-        """Apply linear maps (as LEAF-or-tree -> DendElement) legwise."""
+    def map_legs(self, f):
+        """Apply the linear map f, on DendElements, to both legs."""
         out = TensorSquareElement()
         for (l, r), c in self.combo.terms.items():
-            out = out + TensorSquareElement.from_product(f_left(l), f_right(r)).scale(c)
+            legs = f(DendElement.from_tree(l)), f(DendElement.from_tree(r))
+            out = out + TensorSquareElement.from_product(*legs).scale(c)
         return out
 
     def __str__(self):
@@ -170,14 +171,10 @@ def compat_defect(x: DendElement, y: DendElement, side: str) -> TensorSquareElem
         for (y1, y2), b in coproduct(y).combo.terms.items():
             if x2.is_leaf() and y2.is_leaf():
                 continue
-            left = dstar(_leg(x1), _leg(y1))
-            right = op(_leg(x2), _leg(y2))
+            left = dstar(DendElement.from_tree(x1), DendElement.from_tree(y1))
+            right = op(DendElement.from_tree(x2), DendElement.from_tree(y2))
             rhs = rhs + TensorSquareElement.from_product(left, right).scale(a * b)
     return lhs - rhs
-
-
-def _leg(key) -> DendElement:
-    return DendElement.one() if key.is_leaf() else DendElement.from_tree(key)
 
 
 def primitives(degree: int, alphabet) -> list:

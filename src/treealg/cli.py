@@ -98,7 +98,7 @@ def cmd_envelope(args):
     q = env.build_envelope(b, args.bound, slack=args.slack)
     report = q.report()
     report["valid"] = True
-    bad = [] if q.stable else [{"case": "unstable truncation", "dims_next": q._stable_dims}]
+    bad = [] if q.stable else [{"case": "unstable truncation", "dims_next": q.dims_next}]
     return report, bad
 
 

@@ -77,6 +77,10 @@ class DendElement:
 
     @classmethod
     def from_tree(cls, t: PBT, coeff=1) -> "DendElement":
+        """coeff times the basis tree t.  LEAF, the empty tree, stands
+        for the unit, so from_tree(LEAF) is coeff times 1."""
+        if t.is_leaf():
+            return cls(coeff)
         return cls(0, LinComb.single(t, coeff))
 
     def is_zero(self) -> bool:
@@ -281,6 +285,15 @@ def eval_pbt(t, assign) -> DendElement:
     if not t.left.is_leaf():
         mid = dsucc(eval_pbt(t.left, assign), mid)
     return mid
+
+
+def substitute(e: DendElement, assign) -> DendElement:
+    """Evaluate every tree of e with each letter replaced by its value
+    in assign; the unit part is kept."""
+    out = DendElement(e.unit)
+    for t, c in e.body.terms.items():
+        out = out + eval_pbt(t, assign).scale(c)
+    return out
 
 
 def pli(p: int, q: int):

@@ -16,13 +16,13 @@ import math
 from itertools import product
 
 from treealg.linalg import LinComb, Span, kernel_basis, rat, rat_str, span_contains
-from treealg.trees import catalan, pbt_basis
+from treealg.trees import LEAF, PBT, catalan, pbt_basis
 from treealg.dendriform import (
     DendElement,
     DendSpan,
-    eval_pbt,
     psi_corolla,
     s_closure,
+    substitute,
     upcomb,
 )
 from treealg.operads import interval_partitions
@@ -116,6 +116,11 @@ class BraceStructure:
 
     def letters(self):
         return {name: self.weights[i] for i, name in enumerate(self.basis)}
+
+    def letter_combination(self, value: LinComb) -> DendElement:
+        """A combination of basis indices as the same combination of
+        basis letters in the free dendriform algebra."""
+        return DendElement(0, value.map_keys(lambda i: PBT(LEAF, self.basis[i], LEAF)))
 
     def to_json(self) -> dict:
         prods = []
@@ -268,54 +273,53 @@ def relation_generators(b: BraceStructure, degree_bound: int):
         found = False
         for tup in weighted_tuples(b.weights, arity, limit):
             found = True
-            value = b.brace(tup[0], tup[1:])
-            low = DendElement()
-            for i, c in value.terms.items():
-                low = low + letters[i].scale(c)
+            low = b.letter_combination(b.brace(tup[0], tup[1:]))
             gens.append(psi_corolla([letters[j] for j in tup]) - low)
         if not found:
             break
     return gens
 
 
+def _filtration_dims(span: DendSpan, bound) -> dict:
+    """Quotient dimension per weighted degree up to bound; degree 0 is
+    the unit line."""
+    cols = {}
+    for t in span.span.columns:
+        w = span.wdeg(t)
+        cols[w] = cols.get(w, 0) + 1
+    ranks = span.degree_dims()
+    out = {0: 1}
+    for d in range(1, bound + 1):
+        out[d] = cols.get(d, 0) - ranks.get(d, 0)
+    return out
+
+
 class TruncatedQuotient:
     """Degree-truncated envelope: quotient of the free dendriform
-    algebra on the brace basis by the saturated relation ideal."""
+    algebra on the brace basis by the saturated relation ideal.
 
-    def __init__(self, brace, bound, slack, span: DendSpan, graded, stable, stable_dims):
+    graded, dims_next and stable are set as build_envelope documents."""
+
+    def __init__(self, brace, bound, span: DendSpan, graded, dims_next=None):
         self.brace = brace
         self.bound = bound
-        self.slack = slack
         self.span = span
         self.graded = graded
-        self.stable = stable
-        self._stable_dims = stable_dims
+        self.dims_next = dims_next
+        self.stable = graded or self.dims() == dims_next
         self.notes = [
             "relation generators include the arity-2 identifications x<y - y>x = {x|y}"
         ]
 
-    def weighted_degree(self, e: DendElement) -> int:
-        return max(
-            [0] + [self.span.wdeg(t) for t in e.body.terms]
-        )
-
     def reduce(self, e: DendElement) -> DendElement:
         """Canonical representative modulo the truncated ideal."""
-        if self.weighted_degree(e) > self.span.cutoff:
+        if self.span.top_wdeg(e) > self.span.cutoff:
             raise BraceError("degree overflow: element exceeds the truncation")
         return self.span.reduce(e)
 
     def dims(self):
         """Filtration dimensions: degree 0 is the unit line."""
-        cols = {}
-        for t in self.span.span.columns:
-            w = self.span.wdeg(t)
-            cols[w] = cols.get(w, 0) + 1
-        ranks = self.span.degree_dims()
-        out = {0: 1}
-        for d in range(1, self.bound + 1):
-            out[d] = cols.get(d, 0) - ranks.get(d, 0)
-        return out
+        return _filtration_dims(self.span, self.bound)
 
     def quotient_trees(self):
         """Non-pivot basis trees (class representatives) per degree."""
@@ -330,23 +334,18 @@ class TruncatedQuotient:
     def class_of(self, t) -> DendElement:
         return self.reduce(DendElement.from_tree(t))
 
-    def _reduce_leg(self, key) -> DendElement:
-        if key.is_leaf():
-            return DendElement.one()
-        return self.reduce(DendElement.from_tree(key))
-
     def coproduct(self, e: DendElement) -> TensorSquareElement:
         """Coproduct computed upstairs, both tensor legs reduced."""
-        if self.weighted_degree(e) > self.bound:
+        if self.span.top_wdeg(e) > self.bound:
             raise BraceError("degree overflow: coproduct is reported up to the bound")
-        return coproduct(self.reduce(e)).map_legs(self._reduce_leg, self._reduce_leg)
+        return coproduct(self.reduce(e)).map_legs(self.reduce)
 
     def verify_coideal(self):
         """Reduce the coproduct of every ideal basis row in the quotient
         tensor square; non-vanishing rows are returned as defects."""
         defects = []
         for row in self.span.basis_elements():
-            d = coproduct(row).map_legs(self._reduce_leg, self._reduce_leg)
+            d = coproduct(row).map_legs(self.reduce)
             if not d.is_zero():
                 defects.append(str(row))
         return defects
@@ -368,42 +367,37 @@ def build_envelope(b: BraceStructure, bound: int, slack: int = 1) -> TruncatedQu
     """Saturate the relation ideal inside degrees <= bound+slack and
     truncate to the report bound.
 
-    Homogeneous generators (trivial structure constants) make the ideal
-    graded, so truncation is exact: the slack run is skipped and the
-    stability flag is set.  Otherwise dimensions are compared against a
-    slack+1 run; instability marks the report untrusted.
+    graded is true when every declared structure constant of tuple
+    weight <= max(bound+slack, 2) is a combination of letters of that
+    weight.  The relation generators are then homogeneous, the ideal is
+    graded and truncation is exact: the ideal is saturated up to bound
+    only, stable is True and dims_next is None.  Otherwise the ideal is
+    also saturated inside degrees <= bound+slack+1; dims_next holds that
+    run's dims(), and stable says whether it agrees with dims().  An
+    unstable truncation marks the report untrusted.
     """
     if bound < 1 or slack < 0:
         raise BraceError(
             "an envelope needs bound >= 1 and slack >= 0, got %r and %r" % (bound, slack)
         )
     letters = b.letters()
-    alphabet = list(letters)
-    weights = letters
-
-    def wdegs(e):
-        return {sum(letters[x] for x in t.decorations()) for t in e.body.terms}
-
-    gens = relation_generators(b, max(bound + slack, 2))
-    graded = all(len(wdegs(g)) <= 1 for g in gens)
-    if graded:
-        span = s_closure(
-            relation_generators(b, max(bound, 2)), bound, alphabet=alphabet, weights=weights
-        )
-        return TruncatedQuotient(b, bound, slack, span, True, True, None)
-    span = s_closure(gens, bound + slack, alphabet=alphabet, weights=weights)
-    span_next = s_closure(
-        relation_generators(b, bound + slack + 1),
-        bound + slack + 1,
-        alphabet=alphabet,
-        weights=weights,
+    reach = max(bound + slack, 2)
+    graded = all(
+        b.weights[i] == b.tuple_weight(root, args)
+        for (root, args), value in b.products.items()
+        if b.tuple_weight(root, args) <= reach
+        for i in value.terms
     )
-    quota = TruncatedQuotient(b, bound, slack, span, False, True, None)
-    next_quota = TruncatedQuotient(b, bound, slack + 1, span_next, False, True, None)
-    stable = quota.dims() == next_quota.dims()
-    quota.stable = stable
-    quota._stable_dims = next_quota.dims()
-    return quota
+    if graded:
+        gens = relation_generators(b, max(bound, 2))
+        span = s_closure(gens, bound, alphabet=list(letters), weights=letters)
+        return TruncatedQuotient(b, bound, span, True)
+    # saturate() skips the generators above its cutoff, so one list
+    # serves both runs
+    gens = relation_generators(b, bound + slack + 1)
+    span = s_closure(gens, bound + slack, alphabet=list(letters), weights=letters)
+    span_next = s_closure(gens, bound + slack + 1, alphabet=list(letters), weights=letters)
+    return TruncatedQuotient(b, bound, span, False, _filtration_dims(span_next, bound))
 
 
 def envelope_primitives(q: TruncatedQuotient):
@@ -427,7 +421,7 @@ def envelope_primitives(q: TruncatedQuotient):
     elems = [DendElement(0, v) for v in kernel_basis(classes, images)]
     dims = {}
     for e in elems:
-        dims[q.weighted_degree(e)] = dims.get(q.weighted_degree(e), 0) + 1
+        dims[q.span.top_wdeg(e)] = dims.get(q.span.top_wdeg(e), 0) + 1
     check = _structure_roundtrip(q, elems)
     return elems, dims, check
 
@@ -449,10 +443,7 @@ def _structure_roundtrip(q: TruncatedQuotient, prim_elems) -> dict:
         if w > q.bound:
             continue
         lhs = q.reduce(psi_corolla([letters[root]] + [letters[j] for j in args]))
-        rhs = DendElement()
-        for i, c in value.terms.items():
-            rhs = rhs + letters[i].scale(c)
-        if lhs != q.reduce(rhs):
+        if lhs != q.reduce(b.letter_combination(value)):
             product_defects.append({"root": root, "args": list(args)})
     # zero products within reach must reduce to zero as well
     limit = q.bound if b.weight_bound is None else min(q.bound, b.weight_bound)
@@ -545,15 +536,7 @@ def theta_roundtrip(n_gens: int, bound: int, slack: int = 0) -> dict:
     assign = {name: prims[i] for i, name in enumerate(b.basis)}
 
     def theta(e: DendElement) -> DendElement:
-        out = DendElement(e.unit)
-        for t, c in e.body.terms.items():
-            out = out + eval_pbt(t, assign).scale(c)
-        return out
-
-    def theta_leg(key) -> DendElement:
-        if key.is_leaf():
-            return DendElement.one()
-        return theta(DendElement.from_tree(key))
+        return substitute(e, assign)
 
     dims = q.dims()
     free_dims = {0: 1}
@@ -574,7 +557,7 @@ def theta_roundtrip(n_gens: int, bound: int, slack: int = 0) -> dict:
         for tup in weighted_tuples(b.weights, length, bound):
             u = upcomb([DendElement.generator(b.basis[i]) for i in tup])
             lhs = coproduct(theta(q.reduce(u)))
-            rhs = q.coproduct(u).map_legs(theta_leg, theta_leg)
+            rhs = q.coproduct(u).map_legs(theta)
             if lhs != rhs:
                 intertwined = False
     return {

@@ -7,7 +7,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from treealg.linalg import LinComb, Span
 from treealg.trees import PlanarTree, RootedTree, angles, pbt_shapes
-from treealg.dendriform import DendElement, dprec, dsucc, eval_pbt, positive_body
+from treealg.dendriform import DendElement, dprec, dsucc, positive_body, substitute
 
 
 def corolla(n: int) -> PlanarTree:
@@ -29,17 +29,41 @@ def _as_combo(x) -> LinComb:
     return x
 
 
-def _compose_ape_trees(outer: PlanarTree, at, inner: PlanarTree):
-    """All graftings of the entering edges of `at` onto angles of inner,
-    one tree per weakly increasing assignment."""
+def _multilinear(trees_of, *args) -> LinComb:
+    """Extend trees_of, a map from basis trees to lists of trees, to
+    combinations in each argument."""
+    out = LinComb()
+    for combo in product(*(_as_combo(x).terms.items() for x in args)):
+        coeff = 1
+        for _, c in combo:
+            coeff = coeff * c
+        trees = trees_of(*(t for t, _ in combo))
+        out = out + LinComb((u, 1) for u in trees).scale(coeff)
+    return out
+
+
+def _compose_trees(cls, graftings, outer, at, inner):
+    """Substitute each grafted copy of inner for the vertex `at` of
+    outer, as trees of class cls.  graftings(entering, inner) yields
+    inner with the entering edges of `at` attached, once per grafting."""
     node = outer.find(at)
     if node is None:
         raise KeyError("no vertex %r in %s" % (at, outer))
     clash = (outer.label_set() - {at}) & inner.label_set()
     if clash:
         raise ValueError("label collision %s between %s and %s" % (sorted(clash), outer, inner))
-    entering = node.children
-    k = len(entering)
+
+    def replace_at(t, replacement):
+        if t.label == at:
+            return replacement
+        return cls(t.label, [replace_at(c, replacement) for c in t.children])
+
+    return [replace_at(outer, grafted) for grafted in graftings(node.children, inner)]
+
+
+def _angle_graftings(entering, inner):
+    """One planar grafting per weakly increasing map from the entering
+    edges to the angles of inner."""
     angle_list = angles(inner)
 
     def rebuild(s, insertions):
@@ -49,19 +73,27 @@ def _compose_ape_trees(outer: PlanarTree, at, inner: PlanarTree):
             parts.extend(insertions.get((s.label, i + 1), ()))
         return PlanarTree(s.label, parts)
 
-    def substitute(t, replacement):
-        if t.label == at:
-            return replacement
-        return PlanarTree(t.label, [substitute(c, replacement) for c in t.children])
-
-    out = []
-    for combo in combinations_with_replacement(range(len(angle_list)), k):
+    for combo in combinations_with_replacement(range(len(angle_list)), len(entering)):
         insertions = {}
         for child, ai in zip(entering, combo):
             insertions.setdefault(tuple(angle_list[ai]), []).append(child)
-        grafted = rebuild(inner, insertions)
-        out.append(substitute(outer, grafted))
-    return out
+        yield rebuild(inner, insertions)
+
+
+def _vertex_graftings(entering, inner):
+    """One non-planar grafting per map from the entering edges to the
+    vertices of inner."""
+
+    def rebuild(s, attach):
+        parts = [rebuild(c, attach) for c in s.children]
+        parts.extend(attach.get(s.label, ()))
+        return RootedTree(s.label, parts)
+
+    for choice in product(inner.labels(), repeat=len(entering)):
+        attach = {}
+        for child, v in zip(entering, choice):
+            attach.setdefault(v, []).append(child)
+        yield rebuild(inner, attach)
 
 
 def compose_ape(outer, at, inner) -> LinComb:
@@ -71,52 +103,17 @@ def compose_ape(outer, at, inner) -> LinComb:
     angles of the inner tree contributes one grafting; edges sharing an
     angle keep their left-to-right order.
     """
-    out = LinComb()
-    for t, a in _as_combo(outer).terms.items():
-        for s, b in _as_combo(inner).terms.items():
-            out = out + LinComb((u, 1) for u in _compose_ape_trees(t, at, s)).scale(a * b)
-    return out
-
-
-def _compose_prelie_trees(outer: RootedTree, at, inner: RootedTree):
-    node = outer.find(at)
-    if node is None:
-        raise KeyError("no vertex %r in %s" % (at, outer))
-    clash = (outer.label_set() - {at}) & inner.label_set()
-    if clash:
-        raise ValueError("label collision %s between %s and %s" % (sorted(clash), outer, inner))
-    entering = node.children
-    vertices = inner.labels()
-
-    def rebuild(s, attach):
-        parts = [rebuild(c, attach) for c in s.children]
-        parts.extend(attach.get(s.label, ()))
-        return RootedTree(s.label, parts)
-
-    def substitute(t, replacement):
-        if t.label == at:
-            return replacement
-        return RootedTree(t.label, [substitute(c, replacement) for c in t.children])
-
-    out = []
-    for choice in product(vertices, repeat=len(entering)):
-        attach = {}
-        for child, v in zip(entering, choice):
-            attach.setdefault(v, []).append(child)
-        out.append(substitute(outer, rebuild(inner, attach)))
-    return out
+    return _multilinear(
+        lambda t, s: _compose_trees(PlanarTree, _angle_graftings, t, at, s), outer, inner
+    )
 
 
 def compose_prelie(outer, at, inner) -> LinComb:
     """Non-planar composition: entering edges graft onto arbitrary
     vertices of the inner tree, one term per assignment."""
-    out = LinComb()
-    for t, a in _as_combo(outer).terms.items():
-        for s, b in _as_combo(inner).terms.items():
-            out = out + LinComb(
-                (u, 1) for u in _compose_prelie_trees(t, at, s)
-            ).scale(a * b)
-    return out
+    return _multilinear(
+        lambda t, s: _compose_trees(RootedTree, _vertex_graftings, t, at, s), outer, inner
+    )
 
 
 def _phi_tree(t: RootedTree):
@@ -131,10 +128,7 @@ def _phi_tree(t: RootedTree):
 def phi(x) -> LinComb:
     """Symmetrization: a non-planar tree maps to the sum of all planar
     trees isomorphic to it (all child orderings, distinct by labels)."""
-    out = LinComb()
-    for t, a in _as_combo(x).terms.items():
-        out = out + LinComb((u, 1) for u in _phi_tree(t)).scale(a)
-    return out
+    return _multilinear(_phi_tree, x)
 
 
 class OperadElement:
@@ -241,10 +235,7 @@ def _graft(outer: DendElement, slot, inner: DendElement) -> DendElement:
     assign = {}
     for name in outer.decorations():
         assign[name] = inner if name == slot else DendElement.generator(name)
-    out = DendElement()
-    for t, c in outer.body.terms.items():
-        out = out + eval_pbt(t, assign).scale(c)
-    return out
+    return substitute(outer, assign)
 
 
 class ClosureResult:

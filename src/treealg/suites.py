@@ -6,7 +6,7 @@ from itertools import permutations, product
 from math import factorial
 
 from treealg.linalg import LinComb, Span
-from treealg.trees import catalan, pbt_basis, planar_trees, rooted_trees
+from treealg.trees import catalan, parse_rooted, pbt_basis, planar_trees, rooted_trees
 from treealg.dendriform import (
     DEND_ONE,
     DendElement,
@@ -209,13 +209,7 @@ def suite_phi_morphism(bound=4):
     arity-2 composite is x<y - y>x."""
     defects = []
     x, y = DendElement.generator("1"), DendElement.generator("2")
-    cherry = rooted_trees(["1", "2"])[
-        0
-    ]  # the only 2-vertex shape with root 1 is 1(2); list also has 2(1)
-    for t in rooted_trees(["1", "2"]):
-        if t.label == "1":
-            cherry = t
-    composite = psi_eval(phi(cherry), [x, y])
+    composite = psi_eval(phi(parse_rooted("1(2)")), [x, y])
     if composite != dprec(x, y) - dsucc(y, x):
         defects.append({"case": "arity-2 composite"})
     checks = 0
@@ -429,13 +423,9 @@ def suite_envelope_trivial(bound=4):
         if check["product_defects"]:
             defects.append({"dim": dim, "case": "structure constants"})
         letters = b.basis
-        # words of total length <= 4: product is shuffle, coproduct is
+        # words of total length <= bound: product is shuffle, coproduct is
         # deconcatenation, under the reversed-comb identification
-        all_words = {1: [words.Word((a,)) for a in letters]}
-        for length in range(2, bound):
-            all_words[length] = [
-                words.Word(w.letters + (a,)) for w in all_words[length - 1] for a in letters
-            ]
+        all_words = {n: _words_of_length(letters, n) for n in range(1, bound)}
         for lw in all_words:
             for lu in all_words:
                 if lw + lu > bound:

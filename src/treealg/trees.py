@@ -8,7 +8,8 @@ Grammar (whitespace insignificant)::
     label := [A-Za-z0-9_]+
     decorated binary:     pbt := "*" | "(" pbt label pbt ")"
 
-Planar printing preserves child order; non-planar trees store children
+The two labeled-tree species share one class body and differ only in
+child order: planar trees keep it, non-planar trees store children
 sorted by their printed form (lexicographic byte order), so printing is
 canonical.
 """
@@ -29,14 +30,16 @@ class DuplicateLabelError(ValueError):
     pass
 
 
-class PlanarTree:
-    """Rooted tree with significant left-to-right child order."""
+class _LabeledTree:
+    """Rooted tree with labeled vertices; a subclass fixes the child
+    order in _order.  Trees of different subclasses are never equal,
+    even when they print the same."""
 
     __slots__ = ("label", "children", "_str", "_hash", "size")
 
     def __init__(self, label, children=()):
         self.label = label
-        self.children = tuple(children)
+        self.children = self._order(children)
         if self.children:
             s = label + "(" + ",".join(c._str for c in self.children) + ")"
         else:
@@ -49,10 +52,10 @@ class PlanarTree:
         return self._str
 
     def __repr__(self):
-        return "PlanarTree(%r)" % self._str
+        return "%s(%r)" % (type(self).__name__, self._str)
 
     def __eq__(self, other):
-        return isinstance(other, PlanarTree) and self._str == other._str
+        return type(other) is type(self) and self._str == other._str
 
     def __hash__(self):
         return self._hash
@@ -81,66 +84,27 @@ class PlanarTree:
         return None
 
     def relabel(self, mapping):
-        return PlanarTree(
+        return type(self)(
             mapping.get(self.label, self.label),
             [c.relabel(mapping) for c in self.children],
         )
 
 
-class RootedTree:
+class PlanarTree(_LabeledTree):
+    """Rooted tree with significant left-to-right child order."""
+
+    __slots__ = ()
+    _order = staticmethod(tuple)
+
+
+class RootedTree(_LabeledTree):
     """Rooted tree with unordered children, stored in canonical order."""
 
-    __slots__ = ("label", "children", "_str", "_hash", "size")
+    __slots__ = ()
 
-    def __init__(self, label, children=()):
-        self.label = label
-        self.children = tuple(sorted(children, key=lambda c: c._str))
-        if self.children:
-            s = label + "(" + ",".join(c._str for c in self.children) + ")"
-        else:
-            s = label
-        self._str = s
-        self._hash = hash(s)
-        self.size = 1 + sum(c.size for c in self.children)
-
-    def __str__(self):
-        return self._str
-
-    def __repr__(self):
-        return "RootedTree(%r)" % self._str
-
-    def __eq__(self, other):
-        return isinstance(other, RootedTree) and self._str == other._str
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self._str < other._str
-
-    def labels(self):
-        out = [self.label]
-        for c in self.children:
-            out.extend(c.labels())
-        return out
-
-    def label_set(self):
-        return frozenset(self.labels())
-
-    def find(self, label):
-        if self.label == label:
-            return self
-        for c in self.children:
-            hit = c.find(label)
-            if hit is not None:
-                return hit
-        return None
-
-    def relabel(self, mapping):
-        return RootedTree(
-            mapping.get(self.label, self.label),
-            [c.relabel(mapping) for c in self.children],
-        )
+    @staticmethod
+    def _order(children):
+        return tuple(sorted(children, key=lambda c: c._str))
 
 
 def to_rooted(t: PlanarTree) -> RootedTree:
@@ -403,25 +367,14 @@ def catalan(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _planar_structures(n):
-    """Planar shapes with n vertices as nested tuples."""
-    if n == 1:
-        return ((),)
-    out = []
-    for first in range(1, n):
-        for head in _planar_structures(first):
-            for rest in _forest_structures(n - 1 - first):
-                out.append((head,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _forest_structures(n):
+    """Ordered forests with n vertices as nested tuples; a planar shape
+    with n vertices is a root over a forest with n - 1."""
     if n == 0:
         return ((),)
     out = []
     for first in range(1, n + 1):
-        for head in _planar_structures(first):
+        for head in _forest_structures(first - 1):
             for rest in _forest_structures(n - first):
                 out.append((head,) + rest)
     return tuple(out)
@@ -438,7 +391,7 @@ def planar_shapes(n):
     if n < 1:
         raise ValueError("a planar shape needs n >= 1, got %r" % (n,))
     labels = [str(i) for i in range(1, n + 1)]
-    return [_structure_to_tree(s, labels, [0]) for s in _planar_structures(n)]
+    return [_structure_to_tree(s, labels, [0]) for s in _forest_structures(n - 1)]
 
 
 def planar_trees(labels):
@@ -447,7 +400,7 @@ def planar_trees(labels):
     if len(set(labels)) != len(labels):
         raise DuplicateLabelError("duplicate label in %r" % (labels,))
     out = []
-    for s in _planar_structures(len(labels)):
+    for s in _forest_structures(len(labels) - 1):
         for perm in permutations(labels):
             out.append(_structure_to_tree(s, perm, [0]))
     return out

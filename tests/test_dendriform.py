@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from treealg.operads import ClosureResult
-from treealg.trees import parse_planar, pbt_basis
+from treealg.trees import LEAF, parse_planar, pbt_basis
 from treealg.dendriform import (
     DEND_ONE,
     DendElement,
@@ -24,6 +24,7 @@ from treealg.dendriform import (
     psi_corolla,
     psi_eval,
     s_closure,
+    substitute,
     upcomb,
 )
 
@@ -237,3 +238,13 @@ def test_element_str_examples():
     assert str(DEND_ONE) == "1"
     assert str(DendElement()) == "0"
     assert str(A.scale(Fraction(2, 3))) == "2/3*a"
+
+
+def test_from_tree_of_leaf_is_the_unit():
+    assert DendElement.from_tree(LEAF) == DendElement.one()
+    assert DendElement.from_tree(LEAF, 3) == DendElement.one().scale(3)
+
+
+def test_substitute_keeps_the_unit():
+    e = DEND_ONE.scale(2) + dprec(A, B)
+    assert substitute(e, {"a": B, "b": dsucc(A, C)}) == DEND_ONE.scale(2) + dprec(B, dsucc(A, C))

@@ -104,7 +104,7 @@ def test_envelope_reduction_idempotent_and_kills_generators():
     q = build_envelope(b, 3)
     for g in relation_generators(b, 3):
         assert q.reduce(g).is_zero()
-        if q.weighted_degree(g) + 1 > q.bound:
+        if q.span.top_wdeg(g) + 1 > q.bound:
             continue
         for letter in b.basis:
             x = DendElement.generator(letter)
@@ -173,6 +173,51 @@ def test_envelope_of_associative_brace():
     assert q.stable and not q.graded
     elems, dims, check = envelope_primitives(q)
     assert len(elems) == 1 and not check["product_defects"]
+
+
+def mixed_brace():
+    """{a|b} = a - b: inhomogeneous, and unstable at bound 2 without slack."""
+    return BraceStructure(2, ["a", "b"], {(0, (1,)): LinComb([(0, 1), (1, -1)])})
+
+
+def test_dims_next_is_the_dims_of_the_next_slack_run():
+    cases = [(assoc_brace(), 3, 0), (assoc_brace(), 3, 1), (assoc_brace(), 4, 1), (mixed_brace(), 2, 0)]
+    for b, bound, slack in cases:
+        q = build_envelope(b, bound, slack)
+        assert not q.graded
+        assert q.dims_next == build_envelope(b, bound, slack + 1).dims()
+        assert q.stable == (q.dims() == q.dims_next)
+    assert not build_envelope(mixed_brace(), 2, 0).stable
+    for b in (trivial_brace(2), harvest_brace(1, 3)[0]):
+        q = build_envelope(b, 3, 1)
+        assert q.graded and q.stable and q.dims_next is None
+
+
+def test_graded_matches_homogeneous_relation_generators():
+    """graded is read off the structure constants; it agrees with the
+    rule it replaced, that every relation generator up to weight
+    max(bound + slack, 2) is homogeneous."""
+    braces = [
+        trivial_brace(2),
+        assoc_brace(),
+        mixed_brace(),
+        BraceStructure(2, ["a", "b"], {(0, (0,)): LinComb.single(1)}, weights=[1, 2]),
+        BraceStructure(2, ["a", "b"], {(0, (0,)): LinComb.single(1)}, weights=[1, 3]),
+        # the only inhomogeneous constant has weight 3
+        BraceStructure(1, ["a"], {(0, (0, 0)): LinComb.single(0)}),
+    ]
+    seen = set()
+    for b in braces:
+        wdeg = b.letters()
+        for bound, slack in ((1, 0), (1, 1), (2, 0), (2, 1)):
+            gens = relation_generators(b, max(bound + slack, 2))
+            homogeneous = all(
+                len({sum(wdeg[x] for x in t.decorations()) for t in g.body.terms}) <= 1
+                for g in gens
+            )
+            assert build_envelope(b, bound, slack).graded == homogeneous
+            seen.add(homogeneous)
+    assert seen == {True, False}
 
 
 def test_harvest_and_free_envelope():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treealg.linalg import LinComb
 from treealg.trees import (
     LEAF,
     Angle,
@@ -66,6 +67,15 @@ def test_parse_planar_example():
 
 def test_parse_nonplanar_sorts():
     assert str(parse_rooted("1(3,2)")) == "1(2,3)"
+
+
+def test_planar_and_rooted_trees_stay_distinct():
+    p, r = parse_planar("1(2,3)"), parse_rooted("1(2,3)")
+    assert str(p) == str(r) and hash(p) == hash(r)
+    assert p != r and r != p
+    assert (repr(p), repr(r)) == ("PlanarTree('1(2,3)')", "RootedTree('1(2,3)')")
+    assert len(LinComb([(p, 1), (r, 1)]).terms) == 2
+    assert to_rooted(p) == r and to_planar(r) == p
 
 
 def test_parse_pbt_example():
