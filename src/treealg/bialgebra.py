@@ -25,82 +25,37 @@ from treealg.dendriform import (
 )
 
 
-class TensorSquareElement:
-    """Rational combination of ordered pairs of basis-trees-or-unit.
+class TensorSquareElement(LinComb):
+    """Rational combination of ordered pairs (left, right) of basis
+    trees, LEAF standing for a unit leg, as in DendElement."""
 
-    Keys are (left, right) with LEAF standing for the unit leg."""
-
-    __slots__ = ("combo",)
-
-    def __init__(self, combo=None):
-        self.combo = combo if combo is not None else LinComb()
-
-    @classmethod
-    def single(cls, left, right, coeff=1):
-        return cls(LinComb.single((left, right), coeff))
+    __slots__ = ()
 
     @classmethod
     def from_product(cls, x: DendElement, y: DendElement):
         """x (x) y for two algebra elements."""
-        xs = list(x.body.terms.items())
-        if x.unit:
-            xs.append((LEAF, x.unit))
-        ys = list(y.body.terms.items())
-        if y.unit:
-            ys.append((LEAF, y.unit))
-        return cls(LinComb(((t, s), a * b) for t, a in xs for s, b in ys))
-
-    def is_zero(self):
-        return self.combo.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, TensorSquareElement) and self.combo == other.combo
-
-    def __add__(self, other):
-        return TensorSquareElement(self.combo + other.combo)
-
-    def __sub__(self, other):
-        return TensorSquareElement(self.combo - other.combo)
-
-    def scale(self, c):
-        return TensorSquareElement(self.combo.scale(c))
-
-    def __rmul__(self, c):
-        return self.scale(c)
+        return cls(((t, s), a * b) for t, a in x.terms.items() for s, b in y.terms.items())
 
     def map_legs(self, f):
         """Apply the linear map f, on DendElements, to both legs."""
         out = TensorSquareElement()
-        for (l, r), c in self.combo.terms.items():
+        for (l, r), c in self.terms.items():
             legs = f(DendElement.from_tree(l)), f(DendElement.from_tree(r))
             out = out + TensorSquareElement.from_product(*legs).scale(c)
         return out
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (l, r), c in sorted(
-            self.combo.terms.items(),
-            key=lambda kv: (
-                kv[0][0].degree + kv[0][1].degree,
-                pbt_expr(kv[0][0]),
-                pbt_expr(kv[0][1]),
-            ),
-        ):
-            if c < 0:
-                sign = "-" if not parts else " - "
-                c = -c
-            else:
-                sign = "" if not parts else " + "
-            body = "%s (x) %s" % (pbt_expr(l), pbt_expr(r))
-            if c != 1:
-                body = "%s*[%s]" % (c, body)
-            parts.append(sign + body)
-        return "".join(parts)
+    def items(self):
+        """Terms by total degree, then by the two legs' expressions."""
 
-    def __repr__(self):
-        return "<TensorSquare %s>" % self
+        def key(kv):
+            (l, r), _ = kv
+            return l.degree + r.degree, pbt_expr(l), pbt_expr(r)
+
+        return sorted(self.terms.items(), key=key)
+
+    def _term(self, key, c) -> str:
+        body = "%s (x) %s" % (pbt_expr(key[0]), pbt_expr(key[1]))
+        return body if c == 1 else "%s*[%s]" % (c, body)
 
 
 @lru_cache(maxsize=None)
@@ -133,12 +88,10 @@ def _delta_tree(t) -> LinComb:
 
 
 def coproduct(e: DendElement) -> TensorSquareElement:
-    combo = LinComb()
-    if e.unit:
-        combo = combo + LinComb.single((LEAF, LEAF), e.unit)
-    for t, c in e.body.terms.items():
-        combo = combo + _delta_tree(t).scale(c)
-    return TensorSquareElement(combo)
+    out = TensorSquareElement()
+    for t, c in e.terms.items():
+        out = out + _delta_tree(t).scale(c)
+    return out
 
 
 def reduced_coproduct(e: DendElement) -> TensorSquareElement:
@@ -167,8 +120,8 @@ def compat_defect(x: DendElement, y: DendElement, side: str) -> TensorSquareElem
     prod = op(x, y)
     lhs = coproduct(prod)
     rhs = TensorSquareElement.from_product(prod, DendElement.one())
-    for (x1, x2), a in coproduct(x).combo.terms.items():
-        for (y1, y2), b in coproduct(y).combo.terms.items():
+    for (x1, x2), a in coproduct(x).terms.items():
+        for (y1, y2), b in coproduct(y).terms.items():
             if x2.is_leaf() and y2.is_leaf():
                 continue
             left = dstar(DendElement.from_tree(x1), DendElement.from_tree(y1))
@@ -198,7 +151,7 @@ def primitives(degree: int, alphabet) -> list:
     span = Span(basis)
     for v in kernel_basis(basis, images):
         span.insert(v)
-    return [DendElement(0, b) for b in span.basis()]
+    return [DendElement(b) for b in span.basis()]
 
 
 def primitive_dims(alphabet, max_degree: int):

@@ -12,17 +12,12 @@ import argparse
 import json
 import sys
 
-from treealg.linalg import LinComb
 from treealg.trees import DuplicateLabelError, ParseError, parse_planar, parse_rooted
 from treealg.dendriform import ExprError, UnitProductError, parse_expr
 from treealg import operads
 from treealg import bialgebra
 from treealg import envelope as env
 from treealg.suites import SUITES, SuiteError, run_suite
-
-
-def _combo_str(combo: LinComb) -> str:
-    return str(combo)
 
 
 def _auto_relabel(outer, inner, at):
@@ -50,7 +45,7 @@ def cmd_compose(args):
     inner, renamed = _auto_relabel(outer, inner, args.at)
     compose = operads.compose_ape if args.species == "ape" else operads.compose_prelie
     result = compose(outer, args.at, inner)
-    out = {"sum": _combo_str(result), "terms": len(result)}
+    out = {"sum": str(result), "terms": len(result)}
     if renamed:
         out["relabeled"] = renamed
     return out, []

@@ -1,19 +1,21 @@
 """The free dendriform algebra on a generator alphabet, with unit.
 
-Elements are c*1 + (rational combination of decorated planar binary
-trees).  Products follow the vee-recursion on the unique decomposition
-t = left v right of a basis tree:
+Elements are rational combinations of decorated planar binary trees;
+LEAF, the empty tree, is the unit.  Products of two non-empty trees
+follow the vee-recursion on the unique decomposition t = left v right
+of a basis tree:
 
-    t < s = left v (right * s),      t > s = (t * s.left) w s.right,
+    t < s = left v (right * s),      t > s = (t * s.left) w s.right.
 
-with 1*x = x*1 = x, and unit rules 1<x = x>1 = 0, x<1 = 1>x = x.
-1<1 and 1>1 are not defined and raise.
+A pair with the unit follows the unit rules 1<s = 0, t<1 = t,
+1>s = s, t>1 = 0 and 1*s = s, t*1 = t.  1<1 and 1>1 are not defined
+and raise.
 """
 
 from functools import lru_cache
 from itertools import permutations
 
-from treealg.linalg import LinComb, Span, rat
+from treealg.linalg import LinComb, Span
 from treealg.trees import LEAF, PBT, PlanarTree, weighted_pbt_basis
 
 
@@ -44,9 +46,9 @@ def _tree_star(t: PBT, s: PBT) -> LinComb:
     return _tree_prec(t, s) + _tree_succ(t, s)
 
 
-def _acc(d, c, lin):
-    """d += c*lin, in place on a plain dict."""
-    for k, v in lin.terms.items():
+def _acc(d, c, terms):
+    """d += c*terms, in place on plain dicts."""
+    for k, v in terms.items():
         w = d.get(k)
         if w is None:
             d[k] = c * v
@@ -58,71 +60,33 @@ def _acc(d, c, lin):
                 del d[k]
 
 
-class DendElement:
-    """Element of the unital free dendriform algebra."""
+class DendElement(LinComb):
+    """Element of the unital free dendriform algebra: a LinComb of
+    basis trees, LEAF standing for the unit."""
 
-    __slots__ = ("unit", "body")
-
-    def __init__(self, unit=0, body=None):
-        self.unit = rat(unit)
-        self.body = body if body is not None else LinComb()
+    __slots__ = ()
 
     @classmethod
     def generator(cls, name) -> "DendElement":
-        return cls(0, LinComb.single(PBT(LEAF, name, LEAF)))
+        return cls.single(PBT(LEAF, name, LEAF))
 
     @classmethod
     def one(cls) -> "DendElement":
-        return cls(1)
+        return cls.single(LEAF)
 
     @classmethod
     def from_tree(cls, t: PBT, coeff=1) -> "DendElement":
-        """coeff times the basis tree t.  LEAF, the empty tree, stands
-        for the unit, so from_tree(LEAF) is coeff times 1."""
-        if t.is_leaf():
-            return cls(coeff)
-        return cls(0, LinComb.single(t, coeff))
+        """coeff times the basis tree t; from_tree(LEAF) is coeff times 1."""
+        return cls.single(t, coeff)
 
-    def is_zero(self) -> bool:
-        return not self.unit and self.body.is_zero()
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DendElement)
-            and self.unit == other.unit
-            and self.body == other.body
-        )
-
-    def __hash__(self):
-        return hash((self.unit, self.body))
-
-    def __add__(self, other):
-        return DendElement(self.unit + other.unit, self.body + other.body)
-
-    def __sub__(self, other):
-        return DendElement(self.unit - other.unit, self.body - other.body)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = rat(c)
-        return DendElement(c * self.unit, self.body.scale(c))
-
-    def __rmul__(self, c):
-        return self.scale(c)
+    @property
+    def unit(self):
+        """Coefficient of the unit."""
+        return self.coeff(LEAF)
 
     def degrees(self):
         """Degrees with nonzero component (unit counts as degree 0)."""
-        out = set()
-        if self.unit:
-            out.add(0)
-        for t in self.body.terms:
-            out.add(t.degree)
-        return sorted(out)
+        return sorted({t.degree for t in self.terms})
 
     def top_degree(self) -> int:
         degs = self.degrees()
@@ -130,79 +94,71 @@ class DendElement:
 
     def decorations(self):
         out = set()
-        for t in self.body.terms:
+        for t in self.terms:
             out.update(t.decorations())
         return out
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        if self.unit:
-            parts.append(str(self.unit))
-        for t, c in sorted(
-            self.body.terms.items(), key=lambda kv: (kv[0].degree, pbt_expr(kv[0]))
-        ):
-            if c < 0:
-                sign = "-" if not parts else " - "
-                c = -c
-            else:
-                sign = "" if not parts else " + "
-            body = pbt_expr(t) if c == 1 else "%s*%s" % (c, pbt_expr(t))
-            parts.append(sign + body)
-        return "".join(parts)
+    def items(self):
+        """Terms by degree, then by product expression: the unit first."""
+        return sorted(self.terms.items(), key=lambda kv: (kv[0].degree, pbt_expr(kv[0])))
 
-    def __repr__(self):
-        return "<DendElement %s>" % self
+    def _term(self, t, c) -> str:
+        if t.is_leaf():
+            return str(c)
+        return pbt_expr(t) if c == 1 else "%s*%s" % (c, pbt_expr(t))
 
 
 DEND_ZERO = DendElement()
-DEND_ONE = DendElement(1)
+DEND_ONE = DendElement.one()
+
+
+def _unit_prec(t, s):
+    """1<s = 0, t<1 = t; 1<1 raises."""
+    if t.is_leaf() and s.is_leaf():
+        raise UnitProductError("1<1 is undefined")
+    return {t: 1} if s.is_leaf() else {}
+
+
+def _unit_succ(t, s):
+    """t>1 = 0, 1>s = s; 1>1 raises."""
+    if t.is_leaf() and s.is_leaf():
+        raise UnitProductError("1>1 is undefined")
+    return {s: 1} if t.is_leaf() else {}
+
+
+def _unit_star(t, s):
+    """1*s = s, t*1 = t."""
+    return {s if t.is_leaf() else t: 1}
+
+
+def _product(tree_op, unit_rule, x: DendElement, y: DendElement) -> DendElement:
+    """Bilinear extension of tree_op on pairs of basis trees; a pair with
+    the unit goes to unit_rule, so the tree caches never see LEAF."""
+    d = {}
+    for t, a in x.terms.items():
+        for s, b in y.terms.items():
+            if t is LEAF or s is LEAF:
+                _acc(d, a * b, unit_rule(t, s))
+            else:
+                _acc(d, a * b, tree_op(t, s).terms)
+    out = DendElement()
+    out.terms = d
+    return out
 
 
 def dprec(x: DendElement, y: DendElement) -> DendElement:
     """x < y.  1<t = 0, t<1 = t; 1<1 raises."""
-    if x.unit and y.unit:
-        raise UnitProductError("1<1 is undefined")
-    d = {}
-    if y.unit:
-        _acc(d, y.unit, x.body)
-    for t, a in x.body.terms.items():
-        for s, b in y.body.terms.items():
-            _acc(d, a * b, _tree_prec(t, s))
-    out = DendElement()
-    out.body = LinComb(d)
-    return out
+    return _product(_tree_prec, _unit_prec, x, y)
 
 
 def dsucc(x: DendElement, y: DendElement) -> DendElement:
     """x > y.  t>1 = 0, 1>t = t; 1>1 raises."""
-    if x.unit and y.unit:
-        raise UnitProductError("1>1 is undefined")
-    d = {}
-    if x.unit:
-        _acc(d, x.unit, y.body)
-    for t, a in x.body.terms.items():
-        for s, b in y.body.terms.items():
-            _acc(d, a * b, _tree_succ(t, s))
-    out = DendElement()
-    out.body = LinComb(d)
-    return out
+    return _product(_tree_succ, _unit_succ, x, y)
 
 
 def dstar(x: DendElement, y: DendElement) -> DendElement:
     """x * y = x<y + x>y, with 1*1 = 1."""
-    d = {}
-    if x.unit:
-        _acc(d, x.unit, y.body)
-    if y.unit:
-        _acc(d, y.unit, x.body)
-    for t, a in x.body.terms.items():
-        for s, b in y.body.terms.items():
-            _acc(d, a * b, _tree_star(t, s))
-    out = DendElement(x.unit * y.unit)
-    out.body = LinComb(d)
-    return out
+    return _product(_tree_star, _unit_star, x, y)
 
 
 def upcomb(xs) -> DendElement:
@@ -290,8 +246,8 @@ def eval_pbt(t, assign) -> DendElement:
 def substitute(e: DendElement, assign) -> DendElement:
     """Evaluate every tree of e with each letter replaced by its value
     in assign; the unit part is kept."""
-    out = DendElement(e.unit)
-    for t, c in e.body.terms.items():
+    out = DendElement()
+    for t, c in e.terms.items():
         out = out + eval_pbt(t, assign).scale(c)
     return out
 
@@ -310,12 +266,12 @@ def pli(p: int, q: int):
     return out
 
 
-def positive_body(e: DendElement) -> LinComb:
-    """The body of an element of the positive part; ideal elements have
-    no unit part."""
+def positive_body(e: DendElement) -> DendElement:
+    """e, checked to lie in the positive part; ideal elements have no
+    unit part."""
     if e.unit:
         raise ValueError("ideal elements live in the positive part, got %s" % e)
-    return e.body
+    return e
 
 
 class DendSpan:
@@ -325,6 +281,8 @@ class DendSpan:
     alphabet, ordered by (degree descending, canonical string): a row in
     echelon form is then supported in degrees <= the degree of its pivot
     column, so per-degree ranks of a saturated ideal read off directly.
+    LEAF, the unit, is the last column; positive_body keeps it out of
+    every row, so it is never a pivot and reduce() keeps the unit part.
     """
 
     def __init__(self, alphabet, cutoff, weights=None):
@@ -336,25 +294,25 @@ class DendSpan:
             if not isinstance(w, int) or w < 1:
                 raise ValueError("letter %r has weight %r, not an integer >= 1" % (a, w))
         trees = weighted_pbt_basis(self.alphabet, self.weights, cutoff)
-        self.span = Span(sorted(trees, key=lambda t: (-self.wdeg(t), str(t))))
+        self.span = Span(sorted(trees, key=lambda t: (-self.wdeg(t), str(t))) + [LEAF])
 
     def wdeg(self, t: PBT) -> int:
         return sum(self.weights[a] for a in t.decorations())
 
     def top_wdeg(self, e: DendElement) -> int:
-        return max([0] + [self.wdeg(t) for t in e.body.terms])
+        return max([0] + [self.wdeg(t) for t in e.terms])
 
     def insert(self, e: DendElement):
         """Returns the remainder of e on rank growth, else None."""
         rest = self.span.insert(positive_body(e))
-        return None if rest is None else DendElement(0, rest)
+        return None if rest is None else DendElement(rest)
 
     def contains(self, e: DendElement) -> bool:
         return self.span.contains(positive_body(e))
 
     def reduce(self, e: DendElement) -> DendElement:
         """Canonical representative of e modulo the span (unit part kept)."""
-        return DendElement(e.unit, self.span.reduce(e.body))
+        return DendElement(self.span.reduce(e))
 
     @property
     def rank(self):
@@ -368,7 +326,7 @@ class DendSpan:
         return out
 
     def basis_elements(self):
-        return [DendElement(0, b) for b in self.span.basis()]
+        return [DendElement(b) for b in self.span.basis()]
 
     def saturate(self, seeds):
         """Smallest truncated span containing the seeds and closed under

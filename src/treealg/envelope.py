@@ -15,7 +15,7 @@ import json
 import math
 from itertools import product
 
-from treealg.linalg import LinComb, Span, kernel_basis, rat, rat_str, span_contains
+from treealg.linalg import LinComb, Span, kernel_basis, rat, span_contains
 from treealg.trees import LEAF, PBT, catalan, pbt_basis
 from treealg.dendriform import (
     DendElement,
@@ -120,7 +120,7 @@ class BraceStructure:
     def letter_combination(self, value: LinComb) -> DendElement:
         """A combination of basis indices as the same combination of
         basis letters in the free dendriform algebra."""
-        return DendElement(0, value.map_keys(lambda i: PBT(LEAF, self.basis[i], LEAF)))
+        return DendElement(value.map_keys(lambda i: PBT(LEAF, self.basis[i], LEAF)))
 
     def to_json(self) -> dict:
         prods = []
@@ -130,7 +130,7 @@ class BraceStructure:
                     "root": root,
                     "args": list(args),
                     "value": [
-                        {"coeff": rat_str(c), "index": i} for i, c in value.items()
+                        {"coeff": str(c), "index": i} for i, c in value.items()
                     ],
                 }
             )
@@ -327,7 +327,7 @@ class TruncatedQuotient:
         out = {}
         for t in self.span.span.columns:
             d = self.span.wdeg(t)
-            if d <= self.bound and t not in pivots:
+            if 0 < d <= self.bound and t not in pivots:
                 out.setdefault(d, []).append(t)
         return out
 
@@ -344,8 +344,16 @@ class TruncatedQuotient:
         """Reduce the coproduct of every ideal basis row in the quotient
         tensor square; non-vanishing rows are returned as defects."""
         defects = []
+        reduced = {}  # leg -> its reduction; the rows' coproducts share most legs
+
+        def reduce(leg):
+            out = reduced.get(leg)
+            if out is None:
+                out = reduced[leg] = self.reduce(leg)
+            return out
+
         for row in self.span.basis_elements():
-            d = coproduct(row).map_legs(self.reduce)
+            d = coproduct(row).map_legs(reduce)
             if not d.is_zero():
                 defects.append(str(row))
         return defects
@@ -417,8 +425,8 @@ def envelope_primitives(q: TruncatedQuotient):
         delta = delta - TensorSquareElement.from_product(
             DendElement.one(), q.class_of(t)
         )
-        images.append(delta.combo)
-    elems = [DendElement(0, v) for v in kernel_basis(classes, images)]
+        images.append(delta)
+    elems = [DendElement(v) for v in kernel_basis(classes, images)]
     dims = {}
     for e in elems:
         dims[q.span.top_wdeg(e)] = dims.get(q.span.top_wdeg(e), 0) + 1
@@ -432,10 +440,7 @@ def _structure_roundtrip(q: TruncatedQuotient, prim_elems) -> dict:
     b = q.brace
     letters = [DendElement.generator(name) for name in b.basis]
     # primitives must span exactly the letter lines
-    prim_combos = [p.body for p in prim_elems]
-    letters_in = all(
-        span_contains(prim_combos, q.reduce(x).body) for x in letters
-    )
+    letters_in = all(span_contains(prim_elems, q.reduce(x)) for x in letters)
     size_match = len(prim_elems) == b.dim
     product_defects = []
     for (root, args), value in sorted(b.products.items()):
@@ -482,13 +487,13 @@ def harvest_brace(n_gens: int, max_degree: int):
 
     pivots = []
     for p in prims:
-        terms = sorted(p.body.terms.items(), key=lambda kv: pbt_expr(kv[0]))
+        terms = sorted(p.terms.items(), key=lambda kv: pbt_expr(kv[0]))
         pivots.append(terms[0][0])
         if terms[0][1] != 1:
             raise HarvestError("primitive %s is not monic at its pivot" % p)
 
     def express(e: DendElement) -> LinComb:
-        coords = LinComb((i, e.body.coeff(pivots[i])) for i in range(len(prims)))
+        coords = LinComb((i, e.coeff(pivots[i])) for i in range(len(prims)))
         rest = e
         for i, c in coords.terms.items():
             rest = rest - prims[i].scale(c)
@@ -549,7 +554,7 @@ def theta_roundtrip(n_gens: int, bound: int, slack: int = 0) -> dict:
     for d in range(1, bound + 1):
         span = Span(sorted(pbt_basis(d, alphabet), key=str))
         for t in classes.get(d, []):
-            span.insert(theta(DendElement.from_tree(t)).body)
+            span.insert(theta(DendElement.from_tree(t)))
         surjective[d] = span.rank == len(span.columns)
 
     intertwined = True

@@ -10,6 +10,11 @@ from column index to coefficient that stores no zero.  ``reduce``
 eliminates a ``Fraction`` row exactly; everything else clears
 denominators and eliminates integer rows in ``treealg._kernel``.
 
+The package's element types (``DendElement``, ``TensorSquareElement``)
+subclass ``LinComb``.  Arithmetic keeps the class of its left operand,
+equality holds only between combinations of the same class, and a
+subclass prints in its own ``items()`` order through its ``_term``.
+
 ``EchelonSpan`` (``Span``'s engine), ``to_int_row`` and ``_kernel``
 with its ``BACKEND``, ``reduce_row`` and ``rref`` keep their names
 only because the benchmark's tracer (``perfbench/tracer.py``) wraps
@@ -34,25 +39,24 @@ def rat(x) -> Fraction:
     return Fraction(x)
 
 
-def rat_str(x: Fraction) -> str:
-    """Exact 'p/q' or 'p' form used in all output."""
-    return str(x)
-
-
 class LinComb:
     """Finite formal rational combination over canonically printable keys.
 
     Keys may be any hashable values whose ``str`` is a canonical
     encoding (two structurally equal basis elements print identically).
     Zero coefficients are never stored.  Instances are immutable by
-    convention: all operations return new objects.
+    convention: all operations return new objects of the same class.
+    terms may be a dict, an iterable of (key, coefficient) pairs or a
+    LinComb.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         d = {}
-        if terms:
+        if isinstance(terms, LinComb):
+            d = dict(terms.terms)
+        elif terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for k, c in items:
                 c = rat(c)
@@ -74,7 +78,8 @@ class LinComb:
         return cls([(key, coeff)])
 
     def items(self):
-        """Terms sorted by the canonical key encoding."""
+        """Terms in print order: sorted by the canonical key encoding.
+        Subclasses override it with their own order."""
         return sorted(self.terms.items(), key=lambda kv: str(kv[0]))
 
     def coeff(self, key) -> Fraction:
@@ -90,7 +95,7 @@ class LinComb:
         return len(self.terms)
 
     def __eq__(self, other):
-        return isinstance(other, LinComb) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -106,10 +111,9 @@ class LinComb:
 
     def scale(self, c):
         c = rat(c)
-        if not c:
-            return LinComb()
-        out = LinComb()
-        out.terms = {k: c * v for k, v in self.terms.items()}
+        out = type(self)()
+        if c:
+            out.terms = {k: c * v for k, v in self.terms.items()}
         return out
 
     def __rmul__(self, c):
@@ -117,7 +121,11 @@ class LinComb:
 
     def map_keys(self, f):
         """Apply f to every key (coefficients of collided keys add)."""
-        return LinComb((f(k), c) for k, c in self.terms.items())
+        return type(self)((f(k), c) for k, c in self.terms.items())
+
+    def _term(self, key, c) -> str:
+        """One printed term, c > 0 being the coefficient's absolute value."""
+        return str(key) if c == 1 else "%s*%s" % (c, key)
 
     def __str__(self):
         if not self.terms:
@@ -129,18 +137,17 @@ class LinComb:
                 c = -c
             else:
                 sign = "" if not parts else " + "
-            body = str(k) if c == 1 else "%s*%s" % (c, k)
-            parts.append(sign + body)
+            parts.append(sign + self._term(k, c))
         return "".join(parts)
 
     def __repr__(self):
-        return "<LinComb %s>" % self
+        return "<%s %s>" % (type(self).__name__, self)
 
 
 def combine(a: LinComb, c, b: LinComb) -> LinComb:
-    """a + c*b with zero-coefficient pruning."""
+    """a + c*b with zero-coefficient pruning, of the class of a."""
     c = rat(c)
-    out = LinComb()
+    out = type(a)()
     d = dict(a.terms)
     if c:
         for k, v in b.terms.items():

@@ -226,7 +226,7 @@ def multilinear_basis(arity: int):
 
 
 def relabel_element(e: DendElement, mapping) -> DendElement:
-    return DendElement(e.unit, e.body.map_keys(lambda t: t.relabel(mapping)))
+    return e.map_keys(lambda t: t.relabel(mapping))
 
 
 def _graft(outer: DendElement, slot, inner: DendElement) -> DendElement:
@@ -254,7 +254,7 @@ class ClosureResult:
         return self.spans[n].contains(positive_body(e))
 
     def basis_elements(self, n):
-        return [DendElement(0, b) for b in self.spans[n].basis()]
+        return [DendElement(b) for b in self.spans[n].basis()]
 
 
 def ideal_closure(generators, max_arity: int) -> ClosureResult:
@@ -287,7 +287,7 @@ def ideal_closure(generators, max_arity: int) -> ClosureResult:
             return
         row = result.spans[n].insert(positive_body(e))
         if row is not None:
-            work.append((n, DendElement(0, row)))
+            work.append((n, DendElement(row)))
 
     for n, gens in generators.items():
         if n > max_arity:

@@ -370,7 +370,7 @@ def suite_coprod_mont(bound=5):
     for n in range(1, bound + 1):
         xs = _gens(n)
         lhs = coproduct(upcomb(xs))
-        rhs = TensorSquareElement(LinComb())
+        rhs = TensorSquareElement()
         for i in range(n + 1):
             rhs = rhs + TensorSquareElement.from_product(
                 upcomb(xs[i:]), upcomb(xs[:i])
@@ -448,7 +448,7 @@ def suite_envelope_trivial(bound=4):
         for length in range(1, bound + 1):
             for w in _words_of_length(letters, length):
                 lhs = q.coproduct(env.envelope_word_class(q, w.letters))
-                rhs = TensorSquareElement(LinComb())
+                rhs = TensorSquareElement()
                 for (pre, suf), c in words.deconcat(w).terms.items():
                     rhs = rhs + TensorSquareElement.from_product(
                         env.envelope_word_class(q, pre.letters),

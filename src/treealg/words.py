@@ -88,6 +88,8 @@ def _half_combs(x: LinComb, y: LinComb) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _zin_tree(t) -> LinComb:
+    if t.is_leaf():
+        return LinComb.single(EMPTY)
     # node = left > label < right; under x<y -> x.y and x>y -> y.x
     mid = LinComb.single(Word((t.label,)))
     if not t.right.is_leaf():
@@ -101,8 +103,6 @@ def zin_eval(e: DendElement) -> LinComb:
     """Algebra morphism onto words: generators become one-letter words,
     x<y maps to x.y, x>y to y.x, the unit to the empty word."""
     out = LinComb()
-    if e.unit:
-        out = out + LinComb.single(EMPTY, e.unit)
-    for t, c in e.body.terms.items():
+    for t, c in e.terms.items():
         out = out + _zin_tree(t).scale(c)
     return out

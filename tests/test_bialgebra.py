@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from treealg.linalg import LinComb, kernel_basis
-from treealg.trees import pbt_basis
+from treealg.trees import LEAF, pbt_basis
 from treealg.dendriform import (
     DEND_ONE,
     DendElement,
@@ -35,6 +37,25 @@ def tens(x, y):
     return TensorSquareElement.from_product(x, y)
 
 
+@pytest.mark.parametrize(
+    "x",
+    [dprec(A, B) - DEND_ONE.scale(Fraction(1, 2)), tens(DEND_ONE, A) - tens(B, A).scale(3)],
+    ids=["DendElement", "TensorSquareElement"],
+)
+def test_arithmetic_keeps_the_element_class(x):
+    same = x.map_keys(lambda k: k)
+    assert same == x
+    for y in (x + x, x - x, -x, x.scale(Fraction(2, 3)), x.scale(0), 2 * x, same):
+        assert type(y) is type(x)
+
+
+def test_equality_is_by_class():
+    assert DendElement() != LinComb()
+    assert DendElement() != TensorSquareElement()
+    assert LinComb() != TensorSquareElement()
+    assert DEND_ONE != LinComb.single(LEAF)
+
+
 def test_coproduct_unit():
     assert coproduct(DEND_ONE) == tens(DEND_ONE, DEND_ONE)
 
@@ -60,9 +81,9 @@ def test_coproduct_is_star_morphism():
     for x in (A, dprec(A, B), dsucc(A, A)):
         for y in (B, dstar(A, B)):
             lhs = coproduct(dstar(x, y))
-            rhs = TensorSquareElement(LinComb())
-            for (l1, r1), c1 in coproduct(x).combo.terms.items():
-                for (l2, r2), c2 in coproduct(y).combo.terms.items():
+            rhs = TensorSquareElement()
+            for (l1, r1), c1 in coproduct(x).terms.items():
+                for (l2, r2), c2 in coproduct(y).terms.items():
                     left = dstar(_leg(l1), _leg(l2))
                     right = dstar(_leg(r1), _leg(r2))
                     rhs = rhs + tens(left, right).scale(c1 * c2)
@@ -75,7 +96,7 @@ def _leg(key):
 
 def test_coproduct_degree_compatible():
     e = dprec(dsucc(A, B), A)
-    for (l, r), _ in coproduct(e).combo.terms.items():
+    for (l, r), _ in coproduct(e).terms.items():
         assert l.degree + r.degree == 3
 
 
@@ -121,7 +142,7 @@ def test_reduced_coproduct_degree2_kernel():
     # delta-bar matrix of the degree-2 slice on one generator: both
     # basis trees map to a (x) a, so the kernel is one-dimensional
     trees = sorted(pbt_basis(2, ["a"]), key=str)
-    images = [reduced_coproduct(DendElement.from_tree(t)).combo for t in trees]
+    images = [reduced_coproduct(DendElement.from_tree(t)) for t in trees]
     assert len(images) == 2 and images[0] == images[1]
     (v,) = kernel_basis(trees, images)
     # the free column is the second tree; the pivot coefficient solves for it

@@ -48,9 +48,9 @@ def old_ideal_closure(generators, max_arity: int, mode: str = "two-sided") -> Cl
     def insert(n, e):
         if e.is_zero():
             return
-        row = result.spans[n].insert(e.body)
+        row = result.spans[n].insert(e)
         if row is not None:
-            work.append((n, DendElement(0, row)))
+            work.append((n, DendElement(row)))
 
     for n, gens in generators.items():
         if n > max_arity:

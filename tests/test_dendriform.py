@@ -14,6 +14,9 @@ from treealg.dendriform import (
     DendElement,
     ExprError,
     UnitProductError,
+    _tree_prec,
+    _tree_star,
+    _tree_succ,
     downcomb,
     dprec,
     dstar,
@@ -34,8 +37,8 @@ C = DendElement.generator("c")
 
 
 def test_product_tree_forms():
-    assert str(next(iter(dprec(A, A).body.terms))) == "(* a (* a *))"
-    assert str(next(iter(dsucc(A, A).body.terms))) == "((* a *) a *)"
+    assert str(next(iter(dprec(A, A).terms))) == "(* a (* a *))"
+    assert str(next(iter(dsucc(A, A).terms))) == "((* a *) a *)"
 
 
 def test_unit_laws():
@@ -51,9 +54,22 @@ def test_unit_times_unit_undefined():
         dprec(DEND_ONE, DEND_ONE)
     with pytest.raises(UnitProductError):
         dsucc(DEND_ONE, DEND_ONE)
-    half = DendElement(Fraction(1, 2))
+    half = DendElement.one().scale(Fraction(1, 2))
     with pytest.raises(UnitProductError):
         dprec(half + A, DEND_ONE + B)
+
+
+def test_unit_products_leave_the_tree_caches_alone():
+    # cleared first, so a pair cached by an earlier test cannot hide one
+    x = dprec(A, B) - A.scale(Fraction(1, 2))
+    caches = (_tree_prec, _tree_succ, _tree_star)
+    for f in caches:
+        f.cache_clear()
+    for op in (dprec, dsucc, dstar):
+        op(DEND_ONE, x)
+        op(x, DEND_ONE)
+    assert dstar(DEND_ONE, DEND_ONE) == DEND_ONE
+    assert [f.cache_info().currsize for f in caches] == [0, 0, 0]
 
 
 def test_axiom_instance():

@@ -115,9 +115,9 @@ def old_structure_roundtrip(q: TruncatedQuotient, prim_elems) -> dict:
     # primitives must span exactly the letter lines
     from treealg.linalg import span_contains
 
-    prim_combos = [p.body for p in prim_elems]
+    prim_combos = list(prim_elems)
     letters_in = all(
-        span_contains(prim_combos, q.reduce(x).body) for x in letters
+        span_contains(prim_combos, q.reduce(x)) for x in letters
     )
     size_match = len(prim_elems) == b.dim
     product_defects = []
@@ -171,12 +171,12 @@ def old_harvest_brace(n_gens: int, max_degree: int):
 
     pivots = []
     for p in prims:
-        terms = sorted(p.body.terms.items(), key=lambda kv: pbt_expr(kv[0]))
+        terms = sorted(p.terms.items(), key=lambda kv: pbt_expr(kv[0]))
         pivots.append(terms[0][0])
         assert terms[0][1] == 1
 
     def express(e: DendElement) -> LinComb:
-        coords = LinComb((i, e.body.coeff(pivots[i])) for i in range(len(prims)))
+        coords = LinComb((i, e.coeff(pivots[i])) for i in range(len(prims)))
         rest = e
         for i, c in coords.terms.items():
             rest = rest - prims[i].scale(c)
@@ -223,9 +223,10 @@ def old_theta_roundtrip(n_gens: int, bound: int, slack: int = 0) -> dict:
     assign = {name: prims[i] for i, name in enumerate(b.basis)}
 
     def theta(e: DendElement) -> DendElement:
-        out = DendElement(e.unit)
-        for t, c in e.body.terms.items():
-            out = out + eval_pbt(t, assign).scale(c)
+        out = DendElement.one().scale(e.unit)
+        for t, c in e.terms.items():
+            if not t.is_leaf():
+                out = out + eval_pbt(t, assign).scale(c)
         return out
 
     def theta_leg(key) -> DendElement:
@@ -246,7 +247,7 @@ def old_theta_roundtrip(n_gens: int, bound: int, slack: int = 0) -> dict:
         span = Span(basis)
         for t in classes.get(d, []):
             img = theta(DendElement.from_tree(t))
-            span.insert(img.body)
+            span.insert(img)
         surjective[d] = span.rank == len(basis)
 
     intertwined = True

@@ -131,7 +131,7 @@ def test_envelope_coproduct_matches_deconcatenation():
     for length in (2, 3):
         w = words.Word(("a",) * length)
         lhs = q.coproduct(envelope_word_class(q, w.letters))
-        rhs = TensorSquareElement(LinComb())
+        rhs = TensorSquareElement()
         for (pre, suf), c in words.deconcat(w).terms.items():
             rhs = rhs + TensorSquareElement.from_product(
                 envelope_word_class(q, pre.letters),
@@ -212,7 +212,7 @@ def test_graded_matches_homogeneous_relation_generators():
         for bound, slack in ((1, 0), (1, 1), (2, 0), (2, 1)):
             gens = relation_generators(b, max(bound + slack, 2))
             homogeneous = all(
-                len({sum(wdeg[x] for x in t.decorations()) for t in g.body.terms}) <= 1
+                len({sum(wdeg[x] for x in t.decorations()) for t in g.terms}) <= 1
                 for g in gens
             )
             assert build_envelope(b, bound, slack).graded == homogeneous

@@ -45,6 +45,11 @@ def test_benchmark_hooks_resolve():
         else:
             assert callable(getattr(owner, attr, None)), attr
     assert importlib.import_module("treealg._kernel").BACKEND
+    # uncaching one of these would break only a traced run
+    for name in tracer.TREE_CACHES + (tracer.DELTA_CACHE,):
+        short, attr = name.split(".")
+        owner = importlib.import_module("treealg." + short)
+        assert callable(getattr(getattr(owner, attr), "cache_info", None)), name
 
 
 def test_no_assert_in_src():
