@@ -17,6 +17,7 @@ from treealg.trees import LEAF, PBT, pbt_basis
 from treealg.dendriform import (
     DendElement,
     _tree_star,
+    _unit_star,
     dprec,
     dsucc,
     dstar,
@@ -38,11 +39,10 @@ class TensorSquareElement(LinComb):
 
     def map_legs(self, f):
         """Apply the linear map f, on DendElements, to both legs."""
-        out = TensorSquareElement()
-        for (l, r), c in self.terms.items():
-            legs = f(DendElement.from_tree(l)), f(DendElement.from_tree(r))
-            out = out + TensorSquareElement.from_product(*legs).scale(c)
-        return out
+        return TensorSquareElement.sum(
+            (TensorSquareElement.from_product(*map(f, map(DendElement.from_tree, legs))), c)
+            for legs, c in self.terms.items()
+        )
 
     def items(self):
         """Terms by total degree, then by the two legs' expressions."""
@@ -62,46 +62,28 @@ class TensorSquareElement(LinComb):
 def _delta_tree(t) -> LinComb:
     if t.is_leaf():
         return LinComb.single((LEAF, LEAF))
-    acc = {(t, LEAF): 1}
+    parts = [({(t, LEAF): 1}, 1)]
     for (l1, l2), a in _delta_tree(t.left).terms.items():
         for (r1, r2), b in _delta_tree(t.right).terms.items():
             right = PBT(l2, t.label, r2)
-            if l1.is_leaf():
-                star = {r1: 1}
-            elif r1.is_leaf():
-                star = {l1: 1}
+            if l1.is_leaf() or r1.is_leaf():
+                star = _unit_star(l1, r1)
             else:
                 star = _tree_star(l1, r1).terms
-            ab = a * b
-            for u, cu in star.items():
-                key = (u, right)
-                w = acc.get(key)
-                if w is None:
-                    acc[key] = ab * cu
-                else:
-                    w = w + ab * cu
-                    if w:
-                        acc[key] = w
-                    else:
-                        del acc[key]
-    return LinComb(acc)
+            parts.append(({(u, right): cu for u, cu in star.items()}, a * b))
+    return LinComb.sum(parts)
 
 
 def coproduct(e: DendElement) -> TensorSquareElement:
-    out = TensorSquareElement()
-    for t, c in e.terms.items():
-        out = out + _delta_tree(t).scale(c)
-    return out
+    return TensorSquareElement.sum((_delta_tree(t), c) for t, c in e.terms.items())
 
 
 def reduced_coproduct(e: DendElement) -> TensorSquareElement:
     """delta(x) - x(x)1 - 1(x)x on the positive part."""
     if e.unit:
         raise ValueError("reduced coproduct applies to the positive part")
-    d = coproduct(e)
-    d = d - TensorSquareElement.from_product(e, DendElement.one())
-    d = d - TensorSquareElement.from_product(DendElement.one(), e)
-    return d
+    one, tensor = DendElement.one(), TensorSquareElement.from_product
+    return coproduct(e) - tensor(e, one) - tensor(one, e)
 
 
 def is_primitive(e: DendElement) -> bool:
@@ -118,16 +100,15 @@ def compat_defect(x: DendElement, y: DendElement, side: str) -> TensorSquareElem
         raise ValueError("compatibility is stated on the positive part")
     op = dprec if side == "<" else dsucc
     prod = op(x, y)
-    lhs = coproduct(prod)
-    rhs = TensorSquareElement.from_product(prod, DendElement.one())
+    sweedler = [(TensorSquareElement.from_product(prod, DendElement.one()), 1)]
     for (x1, x2), a in coproduct(x).terms.items():
         for (y1, y2), b in coproduct(y).terms.items():
             if x2.is_leaf() and y2.is_leaf():
                 continue
             left = dstar(DendElement.from_tree(x1), DendElement.from_tree(y1))
             right = op(DendElement.from_tree(x2), DendElement.from_tree(y2))
-            rhs = rhs + TensorSquareElement.from_product(left, right).scale(a * b)
-    return lhs - rhs
+            sweedler.append((TensorSquareElement.from_product(left, right), a * b))
+    return coproduct(prod) - TensorSquareElement.sum(sweedler)
 
 
 def primitives(degree: int, alphabet) -> list:

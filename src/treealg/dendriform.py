@@ -15,7 +15,7 @@ and raise.
 from functools import lru_cache
 from itertools import permutations
 
-from treealg.linalg import LinComb, Span
+from treealg.linalg import LinComb, Span, add_into
 from treealg.trees import LEAF, PBT, PlanarTree, weighted_pbt_basis
 
 
@@ -44,20 +44,6 @@ def _tree_succ(t: PBT, s: PBT) -> LinComb:
 @lru_cache(maxsize=None)
 def _tree_star(t: PBT, s: PBT) -> LinComb:
     return _tree_prec(t, s) + _tree_succ(t, s)
-
-
-def _acc(d, c, terms):
-    """d += c*terms, in place on plain dicts."""
-    for k, v in terms.items():
-        w = d.get(k)
-        if w is None:
-            d[k] = c * v
-        else:
-            w = w + c * v
-            if w:
-                d[k] = w
-            else:
-                del d[k]
 
 
 class DendElement(LinComb):
@@ -108,7 +94,6 @@ class DendElement(LinComb):
         return pbt_expr(t) if c == 1 else "%s*%s" % (c, pbt_expr(t))
 
 
-DEND_ZERO = DendElement()
 DEND_ONE = DendElement.one()
 
 
@@ -138,9 +123,9 @@ def _product(tree_op, unit_rule, x: DendElement, y: DendElement) -> DendElement:
     for t, a in x.terms.items():
         for s, b in y.terms.items():
             if t is LEAF or s is LEAF:
-                _acc(d, a * b, unit_rule(t, s))
+                add_into(d, a * b, unit_rule(t, s))
             else:
-                _acc(d, a * b, tree_op(t, s).terms)
+                add_into(d, a * b, tree_op(t, s).terms)
     out = DendElement()
     out.terms = d
     return out
@@ -194,16 +179,10 @@ def psi_corolla(args, sign_offset=1) -> DendElement:
     n1 = len(args)
     if n1 < 2:
         raise ValueError("a corolla image needs at least 2 arguments, got %d" % n1)
-    out = DendElement()
-    for i in range(1, n1 + 1):
-        up = upcomb(args[1:i])
-        down = downcomb(args[i:])
-        term = dprec(dsucc(up, args[0]), down)
-        if (i + sign_offset) % 2:
-            out = out - term
-        else:
-            out = out + term
-    return out
+    return DendElement.sum(
+        (dprec(dsucc(upcomb(args[1:i]), args[0]), downcomb(args[i:])), (-1) ** (i + sign_offset))
+        for i in range(1, n1 + 1)
+    )
 
 
 def psi_eval(op, args) -> DendElement:
@@ -216,10 +195,7 @@ def psi_eval(op, args) -> DendElement:
     """
     combo = LinComb.single(op) if isinstance(op, PlanarTree) else op
     assign = {str(i + 1): x for i, x in enumerate(args)}
-    out = DendElement()
-    for t, c in combo.terms.items():
-        out = out + _psi_tree(t, assign).scale(c)
-    return out
+    return DendElement.sum((_psi_tree(t, assign), c) for t, c in combo.terms.items())
 
 
 def _psi_tree(t: PlanarTree, assign) -> DendElement:
@@ -246,10 +222,7 @@ def eval_pbt(t, assign) -> DendElement:
 def substitute(e: DendElement, assign) -> DendElement:
     """Evaluate every tree of e with each letter replaced by its value
     in assign; the unit part is kept."""
-    out = DendElement()
-    for t, c in e.terms.items():
-        out = out + eval_pbt(t, assign).scale(c)
-    return out
+    return DendElement.sum((eval_pbt(t, assign), c) for t, c in e.terms.items())
 
 
 def pli(p: int, q: int):

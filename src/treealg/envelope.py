@@ -104,15 +104,12 @@ class BraceStructure:
 
     def brace_multi(self, root: LinComb, args) -> LinComb:
         """Multilinear extension to combinations of basis indices."""
-        out = LinComb()
         spread = [list(a.terms.items()) for a in args]
-        for r, cr in root.terms.items():
-            for combo in product(*spread):
-                coeff = cr
-                for _, c in combo:
-                    coeff = coeff * c
-                out = out + self.brace(r, [i for i, _ in combo]).scale(coeff)
-        return out
+        return LinComb.sum(
+            (self.brace(r, [i for i, _ in combo]), cr * math.prod(c for _, c in combo))
+            for r, cr in root.terms.items()
+            for combo in product(*spread)
+        )
 
     def letters(self):
         return {name: self.weights[i] for i, name in enumerate(self.basis)}
@@ -228,14 +225,15 @@ def validate_brace(b: BraceStructure, arity_bound: int):
                     rest = room - sum(b.weights[j] for j in xs)
                     for ys in weighted_tuples(b.weights, m, rest):
                         lhs = b.brace_multi(b.brace(z, xs), [LinComb.single(y) for y in ys])
-                        rhs = LinComb()
+                        terms = []
                         for blocks in interval_partitions(list(ys), 2 * n + 1):
                             args = []
                             for i in range(n):
                                 args.extend(LinComb.single(y) for y in blocks[2 * i])
                                 args.append(b.brace(xs[i], blocks[2 * i + 1]))
                             args.extend(LinComb.single(y) for y in blocks[2 * n])
-                            rhs = rhs + b.brace_multi(LinComb.single(z), args)
+                            terms.append((b.brace_multi(LinComb.single(z), args), 1))
+                        rhs = LinComb.sum(terms)
                         if lhs != rhs:
                             defects.append(
                                 {
@@ -383,6 +381,9 @@ def build_envelope(b: BraceStructure, bound: int, slack: int = 1) -> TruncatedQu
     also saturated inside degrees <= bound+slack+1; dims_next holds that
     run's dims(), and stable says whether it agrees with dims().  An
     unstable truncation marks the report untrusted.
+
+    b is not checked against the brace relations; callers that need it
+    run validate_brace first, as the envelope CLI verb does.
     """
     if bound < 1 or slack < 0:
         raise BraceError(
@@ -416,16 +417,12 @@ def envelope_primitives(q: TruncatedQuotient):
     the primitive classes and compares with the structure constants.
     """
     classes = [t for _, trees in sorted(q.quotient_trees().items()) for t in trees]
-    images = []
-    for t in classes:
-        delta = q.coproduct(DendElement.from_tree(t))
-        delta = delta - TensorSquareElement.from_product(
-            q.class_of(t), DendElement.one()
-        )
-        delta = delta - TensorSquareElement.from_product(
-            DendElement.one(), q.class_of(t)
-        )
-        images.append(delta)
+    images = [
+        q.coproduct(DendElement.from_tree(t))
+        - TensorSquareElement.from_product(q.class_of(t), DendElement.one())
+        - TensorSquareElement.from_product(DendElement.one(), q.class_of(t))
+        for t in classes
+    ]
     elems = [DendElement(v) for v in kernel_basis(classes, images)]
     dims = {}
     for e in elems:
@@ -494,9 +491,7 @@ def harvest_brace(n_gens: int, max_degree: int):
 
     def express(e: DendElement) -> LinComb:
         coords = LinComb((i, e.coeff(pivots[i])) for i in range(len(prims)))
-        rest = e
-        for i, c in coords.terms.items():
-            rest = rest - prims[i].scale(c)
+        rest = DendElement.sum([(e, 1)] + [(prims[i], -c) for i, c in coords.terms.items()])
         if not rest.is_zero():
             raise HarvestError("value %s escaped the primitive span" % e)
         return coords

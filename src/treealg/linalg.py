@@ -10,6 +10,10 @@ from column index to coefficient that stores no zero.  ``reduce``
 eliminates a ``Fraction`` row exactly; everything else clears
 denominators and eliminates integer rows in ``treealg._kernel``.
 
+Every sum goes through one accumulation, ``add_into`` (d += c*terms in
+place on dicts of terms): ``combine`` (``+``, ``-``) and ``LinComb.sum``,
+which builds a whole linear or multilinear extension in one pass.
+
 The package's element types (``DendElement``, ``TensorSquareElement``)
 subclass ``LinComb``.  Arithmetic keeps the class of its left operand,
 equality holds only between combinations of the same class, and a
@@ -37,6 +41,22 @@ def rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def add_into(d, c, terms):
+    """d += c*terms, in place on dicts of terms, dropping the keys that
+    cancel.  c must be nonzero; the callers that can meet c = 0 skip it,
+    so the product loop does not pay for the test."""
+    for k, v in terms.items():
+        w = d.get(k)
+        if w is None:
+            d[k] = c * v
+        else:
+            w += c * v
+            if w:
+                d[k] = w
+            else:
+                del d[k]
 
 
 class LinComb:
@@ -76,6 +96,19 @@ class LinComb:
     @classmethod
     def single(cls, key, coeff=1):
         return cls([(key, coeff)])
+
+    @classmethod
+    def sum(cls, parts):
+        """Sum of c*x over the pairs (x, c) of parts, in one pass, as a
+        cls; x is a LinComb or a dict of terms storing no zero."""
+        d = {}
+        for x, c in parts:
+            c = rat(c)
+            if c:
+                add_into(d, c, x.terms if isinstance(x, LinComb) else x)
+        out = cls()
+        out.terms = d
+        return out
 
     def items(self):
         """Terms in print order: sorted by the canonical key encoding.
@@ -148,19 +181,9 @@ def combine(a: LinComb, c, b: LinComb) -> LinComb:
     """a + c*b with zero-coefficient pruning, of the class of a."""
     c = rat(c)
     out = type(a)()
-    d = dict(a.terms)
+    out.terms = dict(a.terms)
     if c:
-        for k, v in b.terms.items():
-            w = d.get(k)
-            if w is None:
-                d[k] = c * v
-            else:
-                w = w + c * v
-                if w:
-                    d[k] = w
-                else:
-                    del d[k]
-    out.terms = d
+        add_into(out.terms, c, b.terms)
     return out
 
 

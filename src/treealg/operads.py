@@ -3,6 +3,7 @@ symmetrization of non-planar trees into sums of planar ones, the
 corolla relation defect, and per-arity ideal closures inside the
 multilinear part of the free dendriform algebra."""
 
+import math
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from treealg.linalg import LinComb, Span
@@ -32,14 +33,10 @@ def _as_combo(x) -> LinComb:
 def _multilinear(trees_of, *args) -> LinComb:
     """Extend trees_of, a map from basis trees to lists of trees, to
     combinations in each argument."""
-    out = LinComb()
-    for combo in product(*(_as_combo(x).terms.items() for x in args)):
-        coeff = 1
-        for _, c in combo:
-            coeff = coeff * c
-        trees = trees_of(*(t for t, _ in combo))
-        out = out + LinComb((u, 1) for u in trees).scale(coeff)
-    return out
+    return LinComb.sum(
+        (LinComb((u, 1) for u in trees_of(*(t for t, _ in combo))), math.prod(c for _, c in combo))
+        for combo in product(*(_as_combo(x).terms.items() for x in args))
+    )
 
 
 def _compose_trees(cls, graftings, outer, at, inner):
@@ -196,7 +193,7 @@ def brace_relation_defect(n: int, m: int) -> LinComb:
     outer = corolla_tree("w", ys)
     lhs = compose_ape(outer, "w", inner)
 
-    rhs = LinComb()
+    terms = []
     for blocks in interval_partitions(ys, 2 * n + 1):
         children = []
         composite = []
@@ -209,8 +206,8 @@ def brace_relation_defect(n: int, m: int) -> LinComb:
         term = LinComb.single(corolla_tree("z", children))
         for slot, x, block in composite:
             term = compose_ape(term, slot, corolla_tree(x, block))
-        rhs = rhs + term
-    return lhs - rhs
+        terms.append((term, 1))
+    return lhs - LinComb.sum(terms)
 
 
 def multilinear_basis(arity: int):

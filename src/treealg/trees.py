@@ -17,6 +17,7 @@ canonical.
 import re
 from functools import lru_cache
 from itertools import permutations, product
+from math import comb
 from typing import NamedTuple
 
 
@@ -360,10 +361,7 @@ def parse_pbt(text) -> PBT:
 
 
 def catalan(n: int) -> int:
-    c = 1
-    for i in range(n):
-        c = c * 2 * (2 * i + 1) // (i + 2)
-    return c
+    return comb(2 * n, n) // (n + 1)
 
 
 @lru_cache(maxsize=None)

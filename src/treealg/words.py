@@ -79,11 +79,9 @@ def halfshuffle(w: Word, u: Word) -> LinComb:
 
 
 def _half_combs(x: LinComb, y: LinComb) -> LinComb:
-    out = LinComb()
-    for w, a in x.terms.items():
-        for u, b in y.terms.items():
-            out = out + halfshuffle(w, u).scale(a * b)
-    return out
+    return LinComb.sum(
+        (halfshuffle(w, u), a * b) for w, a in x.terms.items() for u, b in y.terms.items()
+    )
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +100,4 @@ def _zin_tree(t) -> LinComb:
 def zin_eval(e: DendElement) -> LinComb:
     """Algebra morphism onto words: generators become one-letter words,
     x<y maps to x.y, x>y to y.x, the unit to the empty word."""
-    out = LinComb()
-    for t, c in e.terms.items():
-        out = out + _zin_tree(t).scale(c)
-    return out
+    return LinComb.sum((_zin_tree(t), c) for t, c in e.terms.items())

@@ -180,6 +180,13 @@ def test_primitives_closed_suite():
     assert result["dims"] == {1: 1, 2: 1, 3: 2, 4: 5, 5: 14}
 
 
+def test_primitives_closed_dims_follow_the_bound():
+    result, defects = suite_primitives_closed(5)
+    assert defects == []
+    assert result["dims"] == {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 42}
+    assert suite_primitives_closed(2)[0]["dims"] == {1: 1, 2: 1, 3: 2}
+
+
 def test_coprod_mont_factor_order_n2():
     # the up-comb coproduct deconcatenates with suffix (x) prefix legs
     xs = [A, B]

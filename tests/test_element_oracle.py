@@ -10,9 +10,19 @@ verbatim; the tree products and caches it calls are the package's own.
 Hypothesis draws elements over two letters up to degree 3, with and
 without a unit part, with ``Fraction`` coefficients and cancelling
 terms.  Both layers must print, compare, multiply, raise and map alike.
+
+The second oracle copies the term-by-term sums that ``LinComb.sum``
+replaced, verbatim but for the names of the functions they call, on
+the package's own element types: the inline accumulator of
+``_delta_tree`` (uncached here, so it shares no cache with the
+package), ``coproduct``, ``psi_corolla``, ``compat_defect`` and
+``BraceStructure.brace_multi``.  Their results must equal the
+package's term for term.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -21,6 +31,7 @@ from treealg import dendriform as new_dendriform
 from treealg import words as new_words
 from treealg.bialgebra import _delta_tree
 from treealg.dendriform import UnitProductError, _tree_prec, _tree_star, _tree_succ, pbt_expr
+from treealg.envelope import BraceError, harvest_brace, trivial_brace
 from treealg.linalg import LinComb, rat
 from treealg.trees import LEAF, PBT, pbt_basis
 from treealg.words import EMPTY, _zin_tree
@@ -319,15 +330,14 @@ COEFFS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
 @st.composite
-def elements(draw, max_degree=3, max_terms=4):
+def elements(draw, max_degree=3, max_terms=4, unit=True):
     """(unit, [(tree, coefficient), ...]); a drawn term may be cancelled."""
     trees = [t for t in TREES if t.degree <= max_degree]
     terms = draw(st.lists(st.tuples(st.sampled_from(trees), COEFFS), max_size=max_terms))
     if terms and draw(st.booleans()):
         t, c = draw(st.sampled_from(terms))
         terms.append((t, -c))
-    unit = draw(st.one_of(st.just(0), COEFFS))
-    return unit, terms
+    return draw(st.one_of(st.just(0), COEFFS)) if unit else 0, terms
 
 
 def both(drawn):
@@ -426,3 +436,155 @@ def test_substitute_agrees(xd, ad, bd):
         assert new == old
     else:
         assert_same(old, new)
+
+
+# -- the term-by-term sums replaced by LinComb.sum, verbatim -----------
+
+upcomb, downcomb = new_dendriform.upcomb, new_dendriform.downcomb
+new_dprec, new_dsucc, new_dstar = new_dendriform.dprec, new_dendriform.dsucc, new_dendriform.dstar
+
+
+def old_delta_tree(t) -> LinComb:
+    if t.is_leaf():
+        return LinComb.single((LEAF, LEAF))
+    acc = {(t, LEAF): 1}
+    for (l1, l2), a in old_delta_tree(t.left).terms.items():
+        for (r1, r2), b in old_delta_tree(t.right).terms.items():
+            right = PBT(l2, t.label, r2)
+            if l1.is_leaf():
+                star = {r1: 1}
+            elif r1.is_leaf():
+                star = {l1: 1}
+            else:
+                star = _tree_star(l1, r1).terms
+            ab = a * b
+            for u, cu in star.items():
+                key = (u, right)
+                w = acc.get(key)
+                if w is None:
+                    acc[key] = ab * cu
+                else:
+                    w = w + ab * cu
+                    if w:
+                        acc[key] = w
+                    else:
+                        del acc[key]
+    return LinComb(acc)
+
+
+def old_coproduct(e):
+    out = NewTensor()
+    for t, c in e.terms.items():
+        out = out + old_delta_tree(t).scale(c)
+    return out
+
+
+def old_psi_corolla(args, sign_offset=1):
+    n1 = len(args)
+    if n1 < 2:
+        raise ValueError("a corolla image needs at least 2 arguments, got %d" % n1)
+    out = NewDend()
+    for i in range(1, n1 + 1):
+        up = upcomb(args[1:i])
+        down = downcomb(args[i:])
+        term = new_dprec(new_dsucc(up, args[0]), down)
+        if (i + sign_offset) % 2:
+            out = out - term
+        else:
+            out = out + term
+    return out
+
+
+def old_compat_defect(x, y, side):
+    if side not in ("<", ">"):
+        raise ValueError("side must be '<' or '>', got %r" % (side,))
+    if x.unit or y.unit:
+        raise ValueError("compatibility is stated on the positive part")
+    op = new_dprec if side == "<" else new_dsucc
+    prod = op(x, y)
+    lhs = old_coproduct(prod)
+    rhs = NewTensor.from_product(prod, NewDend.one())
+    for (x1, x2), a in old_coproduct(x).terms.items():
+        for (y1, y2), b in old_coproduct(y).terms.items():
+            if x2.is_leaf() and y2.is_leaf():
+                continue
+            left = new_dstar(NewDend.from_tree(x1), NewDend.from_tree(y1))
+            right = op(NewDend.from_tree(x2), NewDend.from_tree(y2))
+            rhs = rhs + NewTensor.from_product(left, right).scale(a * b)
+    return lhs - rhs
+
+
+def old_brace_multi(self, root: LinComb, args) -> LinComb:
+    out = LinComb()
+    spread = [list(a.terms.items()) for a in args]
+    for r, cr in root.terms.items():
+        for combo in product(*spread):
+            coeff = cr
+            for _, c in combo:
+                coeff = coeff * c
+            out = out + self.brace(r, [i for i, _ in combo]).scale(coeff)
+    return out
+
+
+def test_delta_tree_agrees():
+    for d in range(1, 6):
+        for t in pbt_basis(d, ["a", "b"]):
+            old, new = old_delta_tree(t), _delta_tree(t)
+            assert type(new) is LinComb
+            assert new.terms == old.terms, t
+
+
+def new_element(drawn):
+    return both(drawn)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([0, 1]))
+def test_psi_corolla_agrees(data, sign_offset):
+    arity = data.draw(st.integers(2, 5))
+    small = elements(max_degree=2 if arity < 4 else 1, max_terms=2, unit=False)
+    args = [new_element(data.draw(small)) for _ in range(arity)]
+    old, new = old_psi_corolla(args, sign_offset), new_dendriform.psi_corolla(args, sign_offset)
+    assert type(new) is NewDend
+    assert new.terms == old.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(max_degree=2, max_terms=3, unit=False), elements(max_degree=2, max_terms=3, unit=False))
+def test_compat_defect_agrees(xd, yd):
+    x, y = new_element(xd), new_element(yd)
+    for side in ("<", ">"):
+        # the defect vanishes on every pair, so the coproducts that
+        # both sides are built from are compared too
+        old, new = old_compat_defect(x, y, side), new_bialgebra.compat_defect(x, y, side)
+        assert type(new) is NewTensor
+        assert new.terms == old.terms == {}
+        assert old_coproduct(x).terms == new_bialgebra.coproduct(x).terms
+
+
+@lru_cache(maxsize=None)
+def brace_structure(name):
+    return trivial_brace(2) if name == "trivial" else harvest_brace(1, 4)[0]
+
+
+def combos(indices):
+    return st.lists(st.tuples(st.sampled_from(indices), COEFFS), max_size=3).map(LinComb)
+
+
+def brace_outcome(multi, b, root, args):
+    try:
+        return multi(b, root, args).terms
+    except BraceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["trivial", "harvest"]), st.data())
+def test_brace_multi_agrees(name, data):
+    # harvest_brace(1, 4) is truncated at weight 4: heavy tuples raise
+    b = brace_structure(name)
+    root = data.draw(combos(range(min(b.dim, 3))))
+    args = data.draw(st.lists(combos(range(min(b.dim, 2))), max_size=3))
+    old = brace_outcome(old_brace_multi, b, root, args)
+    new = brace_outcome(type(b).brace_multi, b, root, args)
+    assert new == old

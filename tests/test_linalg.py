@@ -44,6 +44,21 @@ def test_combine_commutative_associative_as_stored():
     assert combine(combine(a, 1, b), 1, c).terms == combine(a, 1, combine(b, 1, c)).terms
 
 
+class Tagged(LinComb):
+    __slots__ = ()
+
+
+def test_lincomb_sum():
+    x = Tagged.single("x")
+    total = Tagged.sum([(x, 2), ({"y": 1}, Fraction(1, 2)), (LinComb.single("z"), 0)])
+    assert type(total) is Tagged
+    assert total.terms == {"x": 2, "y": Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in total.terms.values())
+    zero = Tagged.sum([(x, 1), ({"x": 3}, Fraction(-1, 3))])
+    assert zero.is_zero() and zero.terms == {} and type(zero) is Tagged
+    assert LinComb.sum([]) == LinComb()
+
+
 def test_lincomb_str_sorted():
     a = LinComb([("y", -2), ("x", 1)])
     assert str(a) == "x - 2*y"

@@ -1,6 +1,7 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked,
-every name the benchmark's tracer wraps or reads still exists, and no
-argument check in the library is an assert, which python -O strips."""
+every name the benchmark's tracer wraps or reads still exists, no
+argument check in the library is an assert, which python -O strips,
+and no loop in the library rebuilds a sum term by term."""
 
 import ast
 import importlib
@@ -60,6 +61,32 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _rebuilds_itself(node) -> bool:
+    """node is `x = x + ...` (or any operator, x the leftmost operand)."""
+    if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.BinOp):
+        return False
+    left = node.value
+    while isinstance(left, ast.BinOp):
+        left = left.left
+    return isinstance(left, ast.Name) and any(
+        isinstance(t, ast.Name) and t.id == left.id for t in node.targets
+    )
+
+
+def test_no_loop_rebuilds_a_sum():
+    # `out = out + f(t).scale(c)` in a loop copies the growing result
+    # once per term; LinComb.sum builds the whole sum in one pass
+    found = {
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted((ROOT / "src" / "treealg").glob("*.py"))
+        for loop in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(loop, ast.For)
+        for node in ast.walk(loop)
+        if _rebuilds_itself(node)
+    }
+    assert sorted(found) == []
 
 
 OPTIMIZED_CHECKS = """
