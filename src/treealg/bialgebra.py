@@ -38,10 +38,10 @@ class TensorSquareElement(LinComb):
         return cls(((t, s), a * b) for t, a in x.terms.items() for s, b in y.terms.items())
 
     def map_legs(self, f):
-        """Apply the linear map f, on DendElements, to both legs."""
+        """Apply the linear map given by f on basis trees (LEAF
+        included), f(t) a DendElement, to both legs."""
         return TensorSquareElement.sum(
-            (TensorSquareElement.from_product(*map(f, map(DendElement.from_tree, legs))), c)
-            for legs, c in self.terms.items()
+            (TensorSquareElement.from_product(f(l), f(r)), c) for (l, r), c in self.terms.items()
         )
 
     def items(self):
@@ -101,8 +101,9 @@ def compat_defect(x: DendElement, y: DendElement, side: str) -> TensorSquareElem
     op = dprec if side == "<" else dsucc
     prod = op(x, y)
     sweedler = [(TensorSquareElement.from_product(prod, DendElement.one()), 1)]
+    delta_y = coproduct(y).terms.items()
     for (x1, x2), a in coproduct(x).terms.items():
-        for (y1, y2), b in coproduct(y).terms.items():
+        for (y1, y2), b in delta_y:
             if x2.is_leaf() and y2.is_leaf():
                 continue
             left = dstar(DendElement.from_tree(x1), DendElement.from_tree(y1))

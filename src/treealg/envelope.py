@@ -13,6 +13,7 @@ of the free brace match the free dendriform dimensions.
 
 import json
 import math
+from functools import lru_cache
 from itertools import product
 
 from treealg.linalg import LinComb, Span, kernel_basis, rat, span_contains
@@ -20,6 +21,7 @@ from treealg.trees import LEAF, PBT, catalan, pbt_basis
 from treealg.dendriform import (
     DendElement,
     DendSpan,
+    eval_pbt,
     psi_corolla,
     s_closure,
     substitute,
@@ -336,22 +338,15 @@ class TruncatedQuotient:
         """Coproduct computed upstairs, both tensor legs reduced."""
         if self.span.top_wdeg(e) > self.bound:
             raise BraceError("degree overflow: coproduct is reported up to the bound")
-        return coproduct(self.reduce(e)).map_legs(self.reduce)
+        return coproduct(self.reduce(e)).map_legs(self.class_of)
 
     def verify_coideal(self):
         """Reduce the coproduct of every ideal basis row in the quotient
         tensor square; non-vanishing rows are returned as defects."""
         defects = []
-        reduced = {}  # leg -> its reduction; the rows' coproducts share most legs
-
-        def reduce(leg):
-            out = reduced.get(leg)
-            if out is None:
-                out = reduced[leg] = self.reduce(leg)
-            return out
-
+        class_of = lru_cache(maxsize=None)(self.class_of)  # the rows' coproducts share most legs
         for row in self.span.basis_elements():
-            d = coproduct(row).map_legs(reduce)
+            d = coproduct(row).map_legs(class_of)
             if not d.is_zero():
                 defects.append(str(row))
         return defects
@@ -557,7 +552,7 @@ def theta_roundtrip(n_gens: int, bound: int, slack: int = 0) -> dict:
         for tup in weighted_tuples(b.weights, length, bound):
             u = upcomb([DendElement.generator(b.basis[i]) for i in tup])
             lhs = coproduct(theta(q.reduce(u)))
-            rhs = q.coproduct(u).map_legs(theta)
+            rhs = q.coproduct(u).map_legs(lambda t: eval_pbt(t, assign))
             if lhs != rhs:
                 intertwined = False
     return {

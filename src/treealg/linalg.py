@@ -1,13 +1,14 @@
 """Exact rational scalars, formal linear combinations and row reduction.
 
-Every coefficient in the system is a ``fractions.Fraction`` (arbitrary
-precision, always reduced, positive denominator).  The rest of the
+Every coefficient in the system is an exact ``int`` or
+``fractions.Fraction``; a ``Fraction`` comes only from a division or
+from parsed input, so integer arithmetic stays on ints.  The rest of the
 package does linear algebra in ``LinComb``s only: a ``Span`` over an
 ordered list of keys, and ``kernel_basis`` of a map given by the
 images of its columns.  These two are the only place where a
 combination becomes a coordinate row.  Rows are sparse: a ``dict``
 from column index to coefficient that stores no zero.  ``reduce``
-eliminates a ``Fraction`` row exactly; everything else clears
+eliminates a rational row exactly; everything else clears
 denominators and eliminates integer rows in ``treealg._kernel``.
 
 Every sum goes through one accumulation, ``add_into`` (d += c*terms in
@@ -32,13 +33,12 @@ from math import lcm
 
 from treealg import _kernel
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
-
-def rat(x) -> Fraction:
-    """Coerce ints, strings like '-2/3' and Fractions to Fraction."""
-    if isinstance(x, Fraction):
+def rat(x):
+    """An exact scalar: an int or a Fraction is returned as it is, and
+    anything else (a string like '-2/3', a float, a bool) becomes a
+    Fraction."""
+    if type(x) is int or isinstance(x, Fraction):
         return x
     return Fraction(x)
 
@@ -115,8 +115,8 @@ class LinComb:
         Subclasses override it with their own order."""
         return sorted(self.terms.items(), key=lambda kv: str(kv[0]))
 
-    def coeff(self, key) -> Fraction:
-        return self.terms.get(key, ZERO)
+    def coeff(self, key):
+        return self.terms.get(key, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -134,10 +134,10 @@ class LinComb:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        return combine(self, ONE, other)
+        return combine(self, 1, other)
 
     def __sub__(self, other):
-        return combine(self, Fraction(-1), other)
+        return combine(self, -1, other)
 
     def __neg__(self):
         return self.scale(-1)
@@ -188,13 +188,8 @@ def combine(a: LinComb, c, b: LinComb) -> LinComb:
 
 
 def to_int_row(vec) -> dict:
-    """Clear denominators of a sparse Fraction/int row (positive scale)."""
-    mult = 1
-    for x in vec.values():
-        if isinstance(x, Fraction) and x.denominator != 1:
-            mult = lcm(mult, x.denominator)
-    if mult == 1:
-        return {k: int(x) for k, x in vec.items()}
+    """Clear denominators of a sparse int/Fraction row (positive scale)."""
+    mult = lcm(*(x.denominator for x in vec.values()))
     return {k: int(x * mult) for k, x in vec.items()}
 
 
@@ -237,7 +232,7 @@ class EchelonSpan:
         return w
 
     def reduce_exact(self, vec):
-        """Exact remainder of a sparse Fraction row modulo the row space.
+        """Exact remainder of a sparse rational row modulo the row space.
 
         Unlike residual(), no rescaling: this is the Q-linear projection
         onto the complement of the pivot columns.
@@ -305,7 +300,7 @@ def kernel_basis(columns, images):
         for k, c in image.terms.items():
             rows.setdefault(k, {})[j] = c
     ech = _kernel.rref(to_int_row(r) for r in rows.values())
-    out = {free: {free: ONE} for free in range(len(columns)) if free not in ech}
+    out = {free: {free: 1} for free in range(len(columns)) if free not in ech}
     for p, r in ech.items():
         for k, x in r.items():
             if k != p:

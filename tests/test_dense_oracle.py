@@ -5,7 +5,8 @@ and ``treealg._kernel`` used before rows became sparse: the kernel's
 ``normalize_row``, ``reduce_row`` and ``rref`` on dense integer lists,
 then ``to_int_row``, ``EchelonSpan``, ``Span`` and ``kernel_basis``.
 It is verbatim except that the kernel's functions are called without
-their module prefix.  The tests require both engines to give the same
+their module prefix, and that it defines the constants ``ZERO`` and
+``ONE`` that ``treealg.linalg`` no longer has.  The tests require both engines to give the same
 insert remainders, ranks, pivots, membership, reductions, canonical
 bases and kernels, term order included.
 """
@@ -17,7 +18,10 @@ from math import gcd, lcm
 from hypothesis import given, settings, strategies as st
 
 from treealg import linalg
-from treealg.linalg import ONE, ZERO, LinComb, rat
+from treealg.linalg import LinComb, rat
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def normalize_row(v):

@@ -414,7 +414,8 @@ def test_coproducts_and_tensors_agree(xd, yd, zd):
     assert_same_tensor(t, nt)
     assert (t == TensorSquareElement()) == (nt == NewTensor())
     assert_same_tensor(
-        t.map_legs(lambda e: dstar(e, z)), nt.map_legs(lambda e: new_dendriform.dstar(e, nz))
+        t.map_legs(lambda e: dstar(e, z)),
+        nt.map_legs(lambda s: new_dendriform.dstar(NewDend.from_tree(s), nz)),
     )
 
 

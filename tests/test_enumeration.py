@@ -257,7 +257,7 @@ def old_theta_roundtrip(n_gens: int, bound: int, slack: int = 0) -> dict:
                 continue
             u = upcomb([DendElement.generator(b.basis[i]) for i in tup])
             lhs = coproduct(theta(q.reduce(u)))
-            rhs = q.coproduct(u).map_legs(theta)
+            rhs = q.coproduct(u).map_legs(theta_leg)
             if lhs != rhs:
                 intertwined = False
     return {

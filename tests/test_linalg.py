@@ -1,18 +1,25 @@
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
+from treealg.bialgebra import TensorSquareElement, coproduct
+from treealg.dendriform import DendElement, dprec, psi_corolla
+from treealg.envelope import BraceError, BraceStructure, relation_generators, trivial_brace
 from treealg.linalg import (
     EchelonSpan,
     LinComb,
     Span,
     combine,
     kernel_basis,
+    rat,
     span_contains,
     to_int_row,
 )
+from treealg.trees import LEAF, pbt_basis
+from treealg.words import zin_eval
 
 
 def det_cofactor(m):
@@ -53,7 +60,7 @@ def test_lincomb_sum():
     total = Tagged.sum([(x, 2), ({"y": 1}, Fraction(1, 2)), (LinComb.single("z"), 0)])
     assert type(total) is Tagged
     assert total.terms == {"x": 2, "y": Fraction(1, 2)}
-    assert all(type(c) is Fraction for c in total.terms.values())
+    assert type(total.terms["x"]) is int and type(total.terms["y"]) is Fraction
     zero = Tagged.sum([(x, 1), ({"x": 3}, Fraction(-1, 3))])
     assert zero.is_zero() and zero.terms == {} and type(zero) is Tagged
     assert LinComb.sum([]) == LinComb()
@@ -273,3 +280,60 @@ def test_to_int_row_clears_denominators():
 def test_rational_string_forms():
     assert str(Fraction(-1, 2)) == "-1/2"
     assert str(Fraction(4, 2)) == "2"
+
+
+A, B, C = (DendElement.generator(n) for n in "abc")
+
+
+@pytest.mark.parametrize(
+    "cls, keys",
+    [
+        (LinComb, ["x", "y", "z"]),
+        (DendElement, [LEAF, *pbt_basis(2, ["a", "b"])[:2]]),
+        (TensorSquareElement, [(LEAF, LEAF), *product(pbt_basis(1, ["a"]), pbt_basis(1, ["a", "b"]))]),
+    ],
+)
+def test_mixed_int_and_fraction_coefficients_are_one_value(cls, keys):
+    coeffs = [2, Fraction(1, 2), -1]
+    mixed = cls(zip(keys, coeffs))
+    as_fractions = cls(zip(keys, map(Fraction, coeffs)))
+    assert [type(mixed.coeff(k)) for k in keys] == [int, Fraction, int]
+    assert mixed == as_fractions
+    assert hash(mixed) == hash(as_fractions)
+    assert str(mixed) == str(as_fractions)
+
+
+def test_rat_keeps_exact_numbers_and_parses_the_rest():
+    assert type(rat(3)) is int and rat(3) == 3
+    assert type(rat(-2)) is int
+    half = Fraction(1, 2)
+    assert rat(half) is half
+    for text, value in [("-2/3", Fraction(-2, 3)), (0.5, half), ("4/2", 2), (True, 1)]:
+        assert type(rat(text)) is Fraction and rat(text) == value
+
+
+def test_brace_json_coefficients_parse_as_before():
+    def coeffs(coeff):
+        value = [{"coeff": coeff, "index": 0}]
+        data = {"dim": 1, "basis": ["a"], "products": [{"root": 0, "args": [0], "value": value}]}
+        products = BraceStructure.from_json(data).to_json()["products"]
+        return [item["coeff"] for p in products for item in p["value"]]
+
+    cases = ["-2/3", 0.5, True, 2, "4/2", " 3 ", False, 0, "0"]
+    assert [coeffs(c) for c in cases] == [["-2/3"], ["1/2"], ["1"], ["2"], ["2"], ["3"], [], [], []]
+    for bad in ["abc", None, [1], float("inf"), float("nan"), {}, "1/0"]:
+        with pytest.raises(BraceError):
+            coeffs(bad)
+
+
+def test_integer_arithmetic_stays_on_ints():
+    """Tree products, coproducts, corolla signs, relation generators and
+    the word evaluation involve no division, so their coefficients are
+    ints; promoting them to Fraction would be slower and change nothing."""
+    combos = [
+        coproduct(dprec(psi_corolla([A, B, C]), A)),
+        *relation_generators(trivial_brace(2), 4),
+        *(zin_eval(DendElement.from_tree(t)) for t in pbt_basis(4, ["a", "b"])),
+    ]
+    assert all(combo for combo in combos)
+    assert {type(c) for combo in combos for c in combo.terms.values()} == {int}
