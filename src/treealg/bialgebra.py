@@ -22,7 +22,6 @@ from treealg.dendriform import (
     dsucc,
     dstar,
     pbt_expr,
-    psi_corolla,
 )
 
 
@@ -86,10 +85,6 @@ def reduced_coproduct(e: DendElement) -> TensorSquareElement:
     return coproduct(e) - tensor(e, one) - tensor(one, e)
 
 
-def is_primitive(e: DendElement) -> bool:
-    return reduced_coproduct(e).is_zero()
-
-
 def compat_defect(x: DendElement, y: DendElement, side: str) -> TensorSquareElement:
     """delta(x # y) minus the Sweedler expansion (x1*y1)(x)(x2 # y2)
     + (x # y)(x)1, the ghost term with both right legs 1 omitted.
@@ -139,19 +134,3 @@ def primitives(degree: int, alphabet) -> list:
 def primitive_dims(alphabet, max_degree: int):
     return {n: len(primitives(n, alphabet)) for n in range(1, max_degree + 1)}
 
-
-def brace_on_primitives(args) -> DendElement:
-    """Brace operation {x1 | x2,...,xn} on primitives, realized as the
-    corolla image; the output is primitive again (verified)."""
-    args = list(args)
-    if not args:
-        raise ValueError("a brace needs at least one argument")
-    for x in args:
-        if not is_primitive(x):
-            raise ValueError("argument %s is not primitive" % x)
-    if len(args) == 1:
-        return args[0]
-    out = psi_corolla(args)
-    if not is_primitive(out):
-        raise AssertionError("brace of primitives failed to be primitive")
-    return out

@@ -1,13 +1,13 @@
 """Operad composition on planar and non-planar rooted trees, the
-symmetrization of non-planar trees into sums of planar ones, the
-corolla relation defect, and per-arity ideal closures inside the
-multilinear part of the free dendriform algebra."""
+symmetrization of non-planar trees into sums of planar ones, the brace
+relation for any brace operation, and per-arity ideal closures inside
+the multilinear part of the free dendriform algebra."""
 
 import math
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from treealg.linalg import LinComb, Span
-from treealg.trees import PlanarTree, RootedTree, angles, pbt_shapes
+from treealg.trees import LEAF, PlanarTree, RootedTree, angles, pbt_shapes
 from treealg.dendriform import DendElement, dprec, dsucc, positive_body, substitute
 
 
@@ -180,34 +180,46 @@ def interval_partitions(items, k):
         yield [items[bounds[i] : bounds[i + 1]] for i in range(k)]
 
 
+def brace_relation(brace, z, xs, ys):
+    """Both sides of the brace relation on z, x1..xn and Y = y1..ym,
+
+        {{z|x1..xn}|Y} = sum {z|Y0,{x1|Y1},Y2,...,{xn|Y2n-1},Y2n},
+
+    summed over the splittings of Y into 2n+1 consecutive, possibly
+    empty blocks.  brace(root, args) is any brace operation with
+    brace(x, []) = x, returning combinations of one class.  Returns
+    (lhs, rhs)."""
+    xs, ys = list(xs), list(ys)
+    lhs = brace(brace(z, xs), ys)
+    terms = []
+    for blocks in interval_partitions(ys, 2 * len(xs) + 1):
+        args = list(blocks[0])
+        for i, x in enumerate(xs):
+            args.append(brace(x, blocks[2 * i + 1]))
+            args.extend(blocks[2 * i + 2])
+        terms.append((brace(z, args), 1))
+    return lhs, type(lhs).sum(terms)
+
+
+def _planar_brace(root, args) -> LinComb:
+    """{T|S1..Sk} in the planar tree operad: the Si grafted onto the
+    angles of T in every weakly increasing way, extended multilinearly."""
+    return _multilinear(
+        lambda t, *ss: _compose_trees(PlanarTree, _angle_graftings, PlanarTree("@", ss), "@", t),
+        root,
+        *args,
+    )
+
+
 def brace_relation_defect(n: int, m: int) -> LinComb:
-    """Left minus right side of the corolla relation, composed in the
-    planar operad.  The relation rewrites a root composition of two
-    corollas as the sum over partitions of the ordered arguments
-    y_1..y_m into 2n+1 consecutive, possibly empty intervals."""
+    """Left minus right side of brace_relation for the planar brace on
+    the one-vertex trees z, x1..xn, y1..ym."""
     if n < 1 or m < 1:
         raise ValueError("relation needs n, m >= 1, got %r, %r" % (n, m))
-    xs = ["x%d" % i for i in range(1, n + 1)]
-    ys = ["y%d" % i for i in range(1, m + 1)]
-    inner = corolla_tree("z", xs)
-    outer = corolla_tree("w", ys)
-    lhs = compose_ape(outer, "w", inner)
-
-    terms = []
-    for blocks in interval_partitions(ys, 2 * n + 1):
-        children = []
-        composite = []
-        for i in range(n):
-            children.extend(blocks[2 * i])
-            slot = "p%d" % i
-            children.append(slot)
-            composite.append((slot, xs[i], blocks[2 * i + 1]))
-        children.extend(blocks[2 * n])
-        term = LinComb.single(corolla_tree("z", children))
-        for slot, x, block in composite:
-            term = compose_ape(term, slot, corolla_tree(x, block))
-        terms.append((term, 1))
-    return lhs - LinComb.sum(terms)
+    xs = [PlanarTree("x%d" % i) for i in range(1, n + 1)]
+    ys = [PlanarTree("y%d" % i) for i in range(1, m + 1)]
+    lhs, rhs = brace_relation(_planar_brace, PlanarTree("z"), xs, ys)
+    return lhs - rhs
 
 
 def multilinear_basis(arity: int):
@@ -228,10 +240,12 @@ def relabel_element(e: DendElement, mapping) -> DendElement:
 
 def _graft(outer: DendElement, slot, inner: DendElement) -> DendElement:
     """Evaluate outer with `slot` bound to inner and all other letters
-    kept as generators."""
-    assign = {}
-    for name in outer.decorations():
-        assign[name] = inner if name == slot else DendElement.generator(name)
+    kept as generators.  outer is multilinear: each of its trees carries
+    the same letters, so they are read off one tree."""
+    assign = {
+        name: inner if name == slot else DendElement.generator(name)
+        for name in next(iter(outer.terms), LEAF).decorations()
+    }
     return substitute(outer, assign)
 
 

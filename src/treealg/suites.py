@@ -21,12 +21,12 @@ from treealg.dendriform import (
 )
 from treealg import operads
 from treealg.operads import (
+    brace_relation,
     brace_relation_defect,
     compose_ape,
     compose_prelie,
     corolla_tree,
     ideal_closure,
-    interval_partitions,
     phi,
     quotient_dims,
 )
@@ -113,7 +113,7 @@ def suite_axioms(bound=5):
 
 
 def suite_brace_relations(bound=4):
-    """The corolla relation holds in the planar tree operad."""
+    """The brace relation holds for the planar brace in the tree operad."""
     defects = []
     cases = 0
     for n in range(1, bound):
@@ -126,27 +126,16 @@ def suite_brace_relations(bound=4):
 
 
 def _dend_relation_defect(n, m, sign_offset):
-    """Both sides of the corolla relation evaluated inside the free
-    dendriform algebra on distinct generators."""
-    gens = {}
-    xs = ["x%d" % i for i in range(1, n + 1)]
-    ys = ["y%d" % i for i in range(1, m + 1)]
-    for name in ["z"] + xs + ys:
-        gens[name] = DendElement.generator(name)
-    inner = psi_corolla([gens["z"]] + [gens[x] for x in xs], sign_offset)
-    lhs = psi_corolla([inner] + [gens[y] for y in ys], sign_offset)
-    terms = []
-    for blocks in interval_partitions(ys, 2 * n + 1):
-        args = []
-        for i in range(n):
-            args.extend(gens[y] for y in blocks[2 * i])
-            xe = gens[xs[i]]
-            if blocks[2 * i + 1]:
-                xe = psi_corolla([xe] + [gens[y] for y in blocks[2 * i + 1]], sign_offset)
-            args.append(xe)
-        args.extend(gens[y] for y in blocks[2 * n])
-        terms.append((psi_corolla([gens["z"]] + args, sign_offset), 1))
-    return lhs - DendElement.sum(terms)
+    """Left minus right side of brace_relation for the corolla images
+    psi_corolla as the brace, on distinct generators of the free
+    dendriform algebra."""
+    gen = DendElement.generator
+    xs = [gen("x%d" % i) for i in range(1, n + 1)]
+    ys = [gen("y%d" % i) for i in range(1, m + 1)]
+    lhs, rhs = brace_relation(
+        lambda r, args: psi_corolla([r] + args, sign_offset) if args else r, gen("z"), xs, ys
+    )
+    return lhs - rhs
 
 
 def suite_psi_morphism(bound=4):
@@ -492,7 +481,7 @@ def suite_envelope_free(bound=4):
 
 def suite_cmm(bound=4):
     """Primitives-then-envelope returns the free dendriform bialgebra."""
-    rep = env.theta_roundtrip(1, bound, slack=0)
+    rep = env.theta_roundtrip(1, bound)
     defects = []
     if not (rep["dims_equal"] and rep["surjective"] and rep["intertwined"] and rep["stable"]):
         defects.append({k: rep[k] for k in ("dims_equal", "surjective", "intertwined", "stable")})

@@ -14,10 +14,8 @@ from treealg.dendriform import (
 )
 from treealg.bialgebra import (
     TensorSquareElement,
-    brace_on_primitives,
     compat_defect,
     coproduct,
-    is_primitive,
     primitive_dims,
     primitives,
     reduced_coproduct,
@@ -158,20 +156,6 @@ def test_primitives_echelon_deterministic():
     basis2 = primitives(3, 1)
     assert [str(p) for p in basis1] == [str(p) for p in basis2]
     assert len(basis1) == 2
-
-
-def test_brace_on_primitives_examples():
-    p = dprec(A, A) - dsucc(A, A)
-    assert is_primitive(brace_on_primitives([A, A]))
-    assert brace_on_primitives([A, A]) == p
-    assert is_primitive(brace_on_primitives([A, A, A]))
-    out = brace_on_primitives([p, A])
-    assert is_primitive(out) and out.top_degree() == 3
-
-
-def test_brace_on_primitives_rejects_non_primitive():
-    with pytest.raises(ValueError):
-        brace_on_primitives([dprec(A, A), A])
 
 
 def test_primitives_closed_suite():

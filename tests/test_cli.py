@@ -145,6 +145,8 @@ def _product(root=0, args=(0,), index=0):
 
 BAD_BRACES = {
     "dim-mismatch": _brace(dim=2),
+    "dim-bool": _brace(dim=True),
+    "dim-float": _brace(dim=1.0),
     "duplicate-basis": _brace(dim=2, basis=["a", "a"]),
     "basis-not-strings": _brace(basis=[0]),
     "empty-args": _brace(products=[_product(args=())]),

@@ -196,7 +196,8 @@ def test_brace_closure_matches_with_fewer_inserts(monkeypatch):
 
 def weighted_inhomogeneous_brace():
     """Letters x, y, u of weights 1, 1, 2 with {x|y} = u, {y|x} = -u and
-    {u|x} = u; the last relation u<x - x>u - u is inhomogeneous."""
+    {u|x} = u; the last relation u<x - x>u - u is inhomogeneous.  It is
+    invalid on purpose: it breaks the brace relation at arity 3."""
     products = {
         (0, (1,)): LinComb.single(2),
         (1, (0,)): LinComb({2: -1}),

@@ -332,6 +332,7 @@ def test_validate_brace_defects_match_brute_force():
             new = validate_brace(b, arity_bound)
             assert new == old_validate_brace(b, arity_bound), (name, arity_bound)
     assert validate_brace(weighted_brace(defective=True), 3)  # the defect is seen
+    assert validate_brace(weighted_brace(), 5) == []
 
 
 def test_structure_roundtrip_matches_brute_force():

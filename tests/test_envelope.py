@@ -28,6 +28,8 @@ from treealg.envelope import (
     validate_brace,
 )
 
+from test_closure import weighted_inhomogeneous_brace
+
 A = DendElement.generator("a")
 
 
@@ -61,6 +63,18 @@ def test_validate_invalid_brace_pinned_values():
     d = defects[0]
     assert (d["n"], d["m"]) == (1, 1)
     assert d["lhs"] == "b" and d["rhs"] == "3*b"
+
+
+def test_brace_fixtures_are_labeled_by_validity():
+    # the envelope tests also run on invalid braces; this pins which ones
+    assert validate_brace(assoc_brace(), 5) == []
+    for dim in (1, 2, 3):
+        assert validate_brace(trivial_brace(dim), 4) == []
+    for n_gens, max_degree in ((1, 3), (1, 4), (2, 3)):
+        assert validate_brace(harvest_brace(n_gens, max_degree)[0], max_degree + 1) == []
+    assert len(validate_brace(invalid_brace(), 3)) == 1
+    assert len(validate_brace(mixed_brace(), 3)) == 2
+    assert len(validate_brace(weighted_inhomogeneous_brace(), 3)) == 3
 
 
 def test_validate_skips_unknown_tuples_of_truncated_structures():
@@ -176,7 +190,8 @@ def test_envelope_of_associative_brace():
 
 
 def mixed_brace():
-    """{a|b} = a - b: inhomogeneous, and unstable at bound 2 without slack."""
+    """{a|b} = a - b: inhomogeneous, and unstable at bound 2 without slack.
+    It is invalid on purpose: it breaks the brace relation at arity 3."""
     return BraceStructure(2, ["a", "b"], {(0, (1,)): LinComb([(0, 1), (1, -1)])})
 
 
@@ -265,6 +280,9 @@ def test_bad_arguments_raise_brace_error():
         build_envelope(b, 0)
     with pytest.raises(BraceError):
         build_envelope(b, 2, slack=-1)
+    for dim in (True, 1.0):
+        with pytest.raises(BraceError, match="dim must be an integer"):
+            BraceStructure(dim, ["a"], {})
 
 
 def test_harvest_value_outside_primitive_span_raises(monkeypatch):

@@ -1,7 +1,8 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked,
 every name the benchmark's tracer wraps or reads still exists, no
 argument check in the library is an assert, which python -O strips,
-and no loop in the library rebuilds a sum term by term."""
+no loop in the library rebuilds a sum term by term, and one function
+expands the brace relation."""
 
 import ast
 import importlib
@@ -89,8 +90,39 @@ def test_no_loop_rebuilds_a_sum():
     assert sorted(found) == []
 
 
+def _references(tree, name):
+    """Names of the functions that refer to `name` (None at module
+    level), import aliases included."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield from visit(child, getattr(child, "name", owner))
+                continue
+            if (
+                isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Attribute) and child.attr == name
+                or isinstance(child, ast.alias) and child.name == name
+            ):
+                yield owner
+            yield from visit(child, owner)
+
+    return visit(tree, None)
+
+
+def test_one_brace_relation_expansion():
+    # the block layout of the brace relation lives in operads.brace_relation;
+    # every brace (tree operad, Dend, structure constants) goes through it
+    found = {
+        (path.name, owner)
+        for path in sorted((ROOT / "src" / "treealg").glob("*.py"))
+        for owner in _references(ast.parse(path.read_text(), str(path)), "interval_partitions")
+    }
+    assert found == {("operads.py", "brace_relation")}
+
+
 OPTIMIZED_CHECKS = """
-from treealg.bialgebra import brace_on_primitives, compat_defect, primitives, reduced_coproduct
+from treealg.bialgebra import compat_defect, primitives, reduced_coproduct
 from treealg.dendriform import DendElement, pli, psi_corolla
 from treealg.operads import OperadElement, brace_relation_defect, corolla
 from treealg.trees import (
@@ -106,7 +138,6 @@ calls = {
     "compat_defect unit": (lambda: compat_defect(DendElement.one() + a, a, "<"), ValueError),
     "psi_corolla([a])": (lambda: psi_corolla([a]), ValueError),
     "reduced_coproduct(1 + a)": (lambda: reduced_coproduct(DendElement.one() + a), ValueError),
-    "brace_on_primitives([])": (lambda: brace_on_primitives([]), ValueError),
     "pli(0, 1)": (lambda: pli(0, 1), ValueError),
     "corolla(-1)": (lambda: corolla(-1), ValueError),
     "OperadElement species": (lambda: OperadElement("tree", 1, parse_planar("1")), ValueError),
