@@ -77,22 +77,28 @@ def suite_axioms(bound=5):
     product on basis trees over two generators."""
     defects = []
     alphabet = ["a", "b"]
-    basis_by_degree = {d: pbt_basis(d, alphabet) for d in range(1, bound - 1)}
+    elements = {
+        d: [(t, DendElement.from_tree(t)) for t in pbt_basis(d, alphabet)] for d in range(1, bound - 1)
+    }
     checked = 0
-    for d1, d2, d3 in product(basis_by_degree, repeat=3):
-        if d1 + d2 + d3 > bound:
+    for d1, d2 in product(elements, repeat=2):
+        if d1 + d2 >= bound:
             continue
-        for t1 in basis_by_degree[d1]:
-            x = DendElement.from_tree(t1)
-            for t2 in basis_by_degree[d2]:
-                y = DendElement.from_tree(t2)
-                for t3 in basis_by_degree[d3]:
-                    z = DendElement.from_tree(t3)
+        # x<y, x>y and x*y of each pair, shared by every z of every degree
+        pairs = [
+            (t1, x, t2, y, dprec(x, y), dsucc(x, y), dstar(x, y))
+            for t1, x in elements[d1]
+            for t2, y in elements[d2]
+        ]
+        for d3 in range(1, bound - d1 - d2 + 1):
+            for t1, x, t2, y, xy_prec, xy_succ, xy_star in pairs:
+                for t3, z in elements[d3]:
                     checked += 1
-                    ax1 = dprec(dprec(x, y), z) - dprec(x, dprec(y, z)) - dprec(x, dsucc(y, z))
-                    ax2 = dprec(dsucc(x, y), z) - dsucc(x, dprec(y, z))
-                    ax3 = dsucc(x, dsucc(y, z)) - dsucc(dsucc(x, y), z) - dsucc(dprec(x, y), z)
-                    assoc = dstar(dstar(x, y), z) - dstar(x, dstar(y, z))
+                    yz_prec, yz_succ = dprec(y, z), dsucc(y, z)
+                    ax1 = dprec(xy_prec, z) - dprec(x, yz_prec) - dprec(x, yz_succ)
+                    ax2 = dprec(xy_succ, z) - dsucc(x, yz_prec)
+                    ax3 = dsucc(x, yz_succ) - dsucc(xy_succ, z) - dsucc(xy_prec, z)
+                    assoc = dstar(xy_star, z) - dstar(x, dstar(y, z))
                     for name, val in (("eq1", ax1), ("eq2", ax2), ("eq3", ax3), ("star-assoc", assoc)):
                         if not val.is_zero():
                             defects.append({"axiom": name, "triple": [str(t1), str(t2), str(t3)]})

@@ -12,6 +12,11 @@ The two labeled-tree species share one class body and differ only in
 child order: planar trees keep it, non-planar trees store children
 sorted by their printed form (lexicographic byte order), so printing is
 canonical.
+
+Decorated binary trees are hash-consed: each tree exists as one node,
+shared by every tree that contains it, so tree equality and hashing are
+object identity.  The node table is never emptied, like the module's
+lru_caches.  Their labels must be strings.
 """
 
 import re
@@ -120,31 +125,40 @@ def to_planar(t: RootedTree) -> PlanarTree:
 class PBT:
     """Planar binary tree with generator-decorated internal nodes.
 
+    Nodes are hash-consed: PBT(left, label, right) returns the one node
+    already built from the same children and label, so two trees are
+    equal exactly when they are the same object, and equality and
+    hashing are the identity defaults of object.  The table of nodes is
+    never emptied.  Labels are strings, so that trees which print alike
+    are the same tree; any other label raises TypeError.
+
     LEAF is the unique empty tree (degree 0); it stands for the unit
     when a node slot is vacant and never occurs as a basis element.
     """
 
-    __slots__ = ("left", "label", "right", "_str", "_hash", "degree")
+    __slots__ = ("left", "label", "right", "_str", "degree")
+    _nodes = {}
 
-    def __init__(self, left, label, right):
-        self.left = left
-        self.label = label
-        self.right = right
-        self._str = "(%s %s %s)" % (left._str, label, right._str)
-        self._hash = hash(self._str)
-        self.degree = left.degree + 1 + right.degree
+    def __new__(cls, left, label, right):
+        key = (left, label, right)
+        node = cls._nodes.get(key)
+        if node is None:
+            if not isinstance(label, str):
+                raise TypeError("a PBT label must be a str, got %r" % (label,))
+            node = object.__new__(cls)
+            node.left = left
+            node.label = label
+            node.right = right
+            node._str = "(%s %s %s)" % (left._str, label, right._str)
+            node.degree = left.degree + 1 + right.degree
+            cls._nodes[key] = node
+        return node
 
     def __str__(self):
         return self._str
 
     def __repr__(self):
         return "PBT(%r)" % self._str
-
-    def __eq__(self, other):
-        return isinstance(other, (PBT, _Leaf)) and self._str == other._str
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self._str < other._str
@@ -189,12 +203,6 @@ class _Leaf:
 
     def __repr__(self):
         return "LEAF"
-
-    def __eq__(self, other):
-        return other is self or (isinstance(other, _Leaf))
-
-    def __hash__(self):
-        return hash("*")
 
     def __lt__(self, other):
         return "*" < other._str

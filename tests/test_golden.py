@@ -1,10 +1,11 @@
 """The benchmark's golden outputs, checked in tier-1.
 
 perfbench/golden.json holds the exact run_suite output of each
-benchmark workload.  The three workloads that reach the span layer
-(saturation, ideal closure, kernels and reduction) are recomputed here,
-so a wrong quotient fails the tests and not first the benchmark.  The
-file is only read.
+benchmark workload, and each is recomputed here.  Three reach the span
+layer (saturation, ideal closure, kernels and reduction); tree-axioms
+is the only one that exercises the tree products without elimination.
+So a wrong quotient or a wrong product fails the tests and not first
+the benchmark.  The file is only read.
 """
 
 import json
@@ -22,7 +23,7 @@ def canonical(obj):
     return json.loads(json.dumps(obj, sort_keys=True))
 
 
-@pytest.mark.parametrize("workload", ["envelope-trivial", "zin-closure", "harvest-roundtrip"])
+@pytest.mark.parametrize("workload", ["envelope-trivial", "zin-closure", "tree-axioms", "harvest-roundtrip"])
 def test_run_suite_matches_golden(workload):
     golden = json.loads(GOLDEN.read_text())[workload]
     assert canonical(run_suite(golden["suite"], golden["bound"])) == golden

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from treealg.linalg import LinComb
 from treealg.trees import (
     LEAF,
+    PBT,
     Angle,
     DuplicateLabelError,
     ParseError,
@@ -186,6 +187,18 @@ def test_relabel_roundtrip():
     mapping = {"1": "x", "2": "y", "3": "z", "4": "w"}
     back = {v: k for k, v in mapping.items()}
     assert t.relabel(mapping).relabel(back) == t
+
+
+def test_pbt_labels_must_be_strings():
+    # trees are one node per (left, label, right), so a label 1 and a
+    # label "1" would give two distinct trees that print alike
+    one = PBT(LEAF, "1", LEAF)
+    for label in (1, 1.0, None, ("1",)):
+        with pytest.raises(TypeError):
+            PBT(LEAF, label, LEAF)
+        with pytest.raises(TypeError):
+            PBT(one, label, LEAF)
+    assert PBT(LEAF, "1", LEAF) is one
 
 
 def test_enumerate_trees_dispatch():
