@@ -10,6 +10,10 @@ of a basis tree:
 A pair with the unit follows the unit rules 1<s = 0, t<1 = t,
 1>s = s, t>1 = 0 and 1*s = s, t*1 = t.  1<1 and 1>1 are not defined
 and raise.
+
+``product_sum`` is the only loop over pairs of terms: it extends the
+tree products bilinearly and sums any number of products into one
+dict.  ``dprec``, ``dsucc`` and ``dstar`` are its one-part calls.
 """
 
 from functools import lru_cache
@@ -116,16 +120,29 @@ def _unit_star(t, s):
     return {s if t.is_leaf() else t: 1}
 
 
-def _product(tree_op, unit_rule, x: DendElement, y: DendElement) -> DendElement:
-    """Bilinear extension of tree_op on pairs of basis trees; a pair with
-    the unit goes to unit_rule, so the tree caches never see LEAF."""
+# op -> (product of two non-empty trees, unit rule)
+_PRODUCTS = {"<": (_tree_prec, _unit_prec), ">": (_tree_succ, _unit_succ), "*": (_tree_star, _unit_star)}
+
+
+def product_sum(parts) -> DendElement:
+    """Sum of c*(x op y) over the parts (x, op, y, c), in one pass into
+    one dict.  op is "<", ">" or "*" (any other raises KeyError); c is
+    an int or a Fraction, and a part with c = 0 adds nothing.  Each
+    product is the bilinear extension of the tree product; a pair with
+    the unit goes to the unit rules, so the tree caches never see LEAF."""
     d = {}
-    for t, a in x.terms.items():
-        for s, b in y.terms.items():
-            if t is LEAF or s is LEAF:
-                add_into(d, a * b, unit_rule(t, s))
-            else:
-                add_into(d, a * b, tree_op(t, s).terms)
+    for x, op, y, c in parts:
+        tree_op, unit_rule = _PRODUCTS[op]
+        if not c:
+            continue
+        ys = y.terms.items()
+        for t, a in x.terms.items():
+            ac = a * c
+            for s, b in ys:
+                if t is LEAF or s is LEAF:
+                    add_into(d, ac * b, unit_rule(t, s))
+                else:
+                    add_into(d, ac * b, tree_op(t, s).terms)
     out = DendElement()
     out.terms = d
     return out
@@ -133,17 +150,17 @@ def _product(tree_op, unit_rule, x: DendElement, y: DendElement) -> DendElement:
 
 def dprec(x: DendElement, y: DendElement) -> DendElement:
     """x < y.  1<t = 0, t<1 = t; 1<1 raises."""
-    return _product(_tree_prec, _unit_prec, x, y)
+    return product_sum(((x, "<", y, 1),))
 
 
 def dsucc(x: DendElement, y: DendElement) -> DendElement:
     """x > y.  t>1 = 0, 1>t = t; 1>1 raises."""
-    return _product(_tree_succ, _unit_succ, x, y)
+    return product_sum(((x, ">", y, 1),))
 
 
 def dstar(x: DendElement, y: DendElement) -> DendElement:
     """x * y = x<y + x>y, with 1*1 = 1."""
-    return _product(_tree_star, _unit_star, x, y)
+    return product_sum(((x, "*", y, 1),))
 
 
 def upcomb(xs) -> DendElement:
@@ -179,8 +196,8 @@ def psi_corolla(args, sign_offset=1) -> DendElement:
     n1 = len(args)
     if n1 < 2:
         raise ValueError("a corolla image needs at least 2 arguments, got %d" % n1)
-    return DendElement.sum(
-        (dprec(dsucc(upcomb(args[1:i]), args[0]), downcomb(args[i:])), (-1) ** (i + sign_offset))
+    return product_sum(
+        (dsucc(upcomb(args[1:i]), args[0]), "<", downcomb(args[i:]), (-1) ** (i + sign_offset))
         for i in range(1, n1 + 1)
     )
 

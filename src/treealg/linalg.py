@@ -12,8 +12,9 @@ eliminates a rational row exactly; everything else clears
 denominators and eliminates integer rows in ``treealg._kernel``.
 
 Every sum goes through one accumulation, ``add_into`` (d += c*terms in
-place on dicts of terms): ``combine`` (``+``, ``-``) and ``LinComb.sum``,
-which builds a whole linear or multilinear extension in one pass.
+place on dicts of terms): ``combine`` (``+``, ``-``), ``LinComb.sum``,
+which builds a whole linear or multilinear extension in one pass, and
+``dendriform.product_sum``, which does the same for sums of products.
 
 The package's element types (``DendElement``, ``TensorSquareElement``)
 subclass ``LinComb``.  Arithmetic keeps the class of its left operand,

@@ -15,6 +15,7 @@ from treealg.dendriform import (
     dstar,
     dsucc,
     pli,
+    product_sum,
     psi_corolla,
     psi_eval,
     upcomb,
@@ -74,37 +75,56 @@ def zinbiel_ideal(max_arity):
 
 def suite_axioms(bound=5):
     """Dendriform axioms, unit laws, and associativity of the sum
-    product on basis trees over two generators."""
+    product on basis trees over two generators.
+
+    Every triple (x, y, z) with degree sum at most bound is checked in
+    Loday's form, one product_sum per identity:
+
+        eq1          (x<y)<z - x<(y*z)
+        eq2          (x>y)<z - x>(y<z)
+        eq3          (x*y)>z - x>(y>z)
+        star-assoc   (x*y)*z - x*(y*z)
+
+    and every pair with degree sum below bound is checked to satisfy
+    star-split, x*y = x<y + x>y.  The products are bilinear, so
+    star-split on (y, z) and (x, y) turns the star form into the
+    expanded one, x<(y*z) = x<(y<z) + x<(y>z) and
+    (x*y)>z = (x<y)>z + (x>y)>z: the two check the same thing.  The
+    unit laws are checked on every basis tree of degree at most bound.
+    """
     defects = []
-    alphabet = ["a", "b"]
-    elements = {
-        d: [(t, DendElement.from_tree(t)) for t in pbt_basis(d, alphabet)] for d in range(1, bound - 1)
-    }
+    trees = {d: pbt_basis(d, ["a", "b"]) for d in range(1, bound + 1)}
+    basis = {d: [(t, DendElement.from_tree(t)) for t in trees[d]] for d in range(1, bound - 1)}
+    degree_pairs = [(d1, d2) for d1, d2 in product(range(1, bound - 1), repeat=2) if d1 + d2 < bound]
+    # x<y, x>y and x*y of every pair with degree sum below bound: the
+    # products x.y and y.z of every triple
+    table = {}
+    for d1, d2 in degree_pairs:
+        for t1, x in basis[d1]:
+            for t2, y in basis[d2]:
+                xy = table[t1, t2] = (dprec(x, y), dsucc(x, y), dstar(x, y))
+                if xy[2] != xy[0] + xy[1]:
+                    defects.append({"axiom": "star-split", "pair": [str(t1), str(t2)]})
     checked = 0
-    for d1, d2 in product(elements, repeat=2):
-        if d1 + d2 >= bound:
-            continue
-        # x<y, x>y and x*y of each pair, shared by every z of every degree
-        pairs = [
-            (t1, x, t2, y, dprec(x, y), dsucc(x, y), dstar(x, y))
-            for t1, x in elements[d1]
-            for t2, y in elements[d2]
-        ]
+    for d1, d2 in degree_pairs:
         for d3 in range(1, bound - d1 - d2 + 1):
-            for t1, x, t2, y, xy_prec, xy_succ, xy_star in pairs:
-                for t3, z in elements[d3]:
-                    checked += 1
-                    yz_prec, yz_succ = dprec(y, z), dsucc(y, z)
-                    ax1 = dprec(xy_prec, z) - dprec(x, yz_prec) - dprec(x, yz_succ)
-                    ax2 = dprec(xy_succ, z) - dsucc(x, yz_prec)
-                    ax3 = dsucc(x, yz_succ) - dsucc(xy_succ, z) - dsucc(xy_prec, z)
-                    assoc = dstar(xy_star, z) - dstar(x, dstar(y, z))
-                    for name, val in (("eq1", ax1), ("eq2", ax2), ("eq3", ax3), ("star-assoc", assoc)):
-                        if not val.is_zero():
-                            defects.append({"axiom": name, "triple": [str(t1), str(t2), str(t3)]})
+            for t1, x in basis[d1]:
+                for t2, y in basis[d2]:
+                    xy_prec, xy_succ, xy_star = table[t1, t2]
+                    for t3, z in basis[d3]:
+                        checked += 1
+                        yz_prec, yz_succ, yz_star = table[t2, t3]
+                        for name, parts in (
+                            ("eq1", ((xy_prec, "<", z, 1), (x, "<", yz_star, -1))),
+                            ("eq2", ((xy_succ, "<", z, 1), (x, ">", yz_prec, -1))),
+                            ("eq3", ((xy_star, ">", z, 1), (x, ">", yz_succ, -1))),
+                            ("star-assoc", ((xy_star, "*", z, 1), (x, "*", yz_star, -1))),
+                        ):
+                            if not product_sum(parts).is_zero():
+                                defects.append({"axiom": name, "triple": [str(t1), str(t2), str(t3)]})
     units_checked = 0
     for d in range(1, bound + 1):
-        for t in pbt_basis(d, alphabet):
+        for t in trees[d]:
             x = DendElement.from_tree(t)
             units_checked += 1
             good = (

@@ -21,7 +21,7 @@ lru_caches.  Their labels must be strings.
 
 import re
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import comb
 from typing import NamedTuple
 
@@ -446,16 +446,27 @@ def pbt_shapes(n):
 
 
 def pbt_basis(degree, alphabet):
-    """All decorated PBTs of the given degree over the alphabet."""
+    """All decorated PBTs of the given degree over the alphabet, by
+    shape in pbt_shapes order, then by decoration word (the labels in
+    infix order) in itertools.product order.
+
+    Each tree is built once, from the already-built decorations of its
+    two subtrees: the words of a shape are left word, root letter,
+    right word, so product order is the nested order of the three."""
     if degree < 1:
         raise ValueError("degree must be at least 1, got %r" % (degree,))
     alphabet = list(alphabet)
-    out = []
-    for shape in pbt_shapes(degree):
-        for decor in product(alphabet, repeat=degree):
-            mapping = {str(i + 1): decor[i] for i in range(degree)}
-            out.append(shape.relabel(mapping))
-    return out
+    decorated = {LEAF: [LEAF]}  # shape -> its decorated trees, in order
+
+    def decorate(shape):
+        out = decorated.get(shape)
+        if out is None:
+            lefts, rights = decorate(shape.left), decorate(shape.right)
+            out = [PBT(left, a, right) for left in lefts for a in alphabet for right in rights]
+            decorated[shape] = out
+        return out
+
+    return [t for shape in pbt_shapes(degree) for t in decorate(shape)]
 
 
 def weighted_pbt_basis(alphabet, weights, max_weight):
