@@ -13,7 +13,7 @@ omit the unique ghost term whose both right legs are the unit.
 from functools import lru_cache
 
 from treealg.linalg import LinComb, Span, kernel_basis
-from treealg.trees import LEAF, PBT, pbt_basis
+from treealg.trees import LEAF, PBT, generator_names, pbt_basis
 from treealg.dendriform import (
     DendElement,
     _tree_star,
@@ -113,7 +113,7 @@ def primitives(degree: int, alphabet) -> list:
     if degree < 1:
         raise ValueError("degree must be at least 1, got %r" % (degree,))
     if isinstance(alphabet, int):
-        alphabet = [chr(ord("a") + i) for i in range(alphabet)]
+        alphabet = generator_names(alphabet)
     # expression-string order puts the < combs first, so the echelon
     # pivots land on them and printed bases read like a<a - a>a
     basis = sorted(pbt_basis(degree, alphabet), key=pbt_expr)

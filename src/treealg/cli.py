@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from treealg.trees import DuplicateLabelError, ParseError, parse_planar, parse_rooted
+from treealg.trees import DuplicateLabelError, ParseError, catalan, parse_planar, parse_rooted
 from treealg.dendriform import ExprError, UnitProductError, parse_expr
 from treealg import operads
 from treealg import bialgebra
@@ -66,8 +66,6 @@ def cmd_primitives(args):
 
 
 def cmd_dims(args):
-    from treealg.trees import catalan
-
     table = []
     for n in range(1, args.upto + 1):
         table.append(

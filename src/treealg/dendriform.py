@@ -19,8 +19,8 @@ dict.  ``dprec``, ``dsucc`` and ``dstar`` are its one-part calls.
 from functools import lru_cache
 from itertools import permutations
 
-from treealg.linalg import LinComb, Span, add_into
-from treealg.trees import LEAF, PBT, PlanarTree, weighted_pbt_basis
+from treealg.linalg import LinComb, Span, _from_terms, add_into
+from treealg.trees import LABEL_RE, LEAF, PBT, PlanarTree, weighted_pbt_basis
 
 
 class UnitProductError(ValueError):
@@ -143,9 +143,7 @@ def product_sum(parts) -> DendElement:
                     add_into(d, ac * b, unit_rule(t, s))
                 else:
                     add_into(d, ac * b, tree_op(t, s).terms)
-    out = DendElement()
-    out.terms = d
-    return out
+    return _from_terms(DendElement, d)
 
 
 def dprec(x: DendElement, y: DendElement) -> DendElement:
@@ -427,8 +425,6 @@ _EXPR_TOKENS = ("<", ">", "*", "(", ")", "{", "}", "|", ",")
 
 
 def _expr_tokenize(text):
-    import re
-
     out = []
     pos = 0
     while pos < len(text):
@@ -440,7 +436,7 @@ def _expr_tokenize(text):
             out.append((ch, pos))
             pos += 1
             continue
-        m = re.match(r"[A-Za-z0-9_]+", text[pos:])
+        m = LABEL_RE.match(text, pos)
         if not m:
             raise ExprError("unexpected character %r at position %d" % (ch, pos))
         out.append((m.group(0), pos))

@@ -17,11 +17,12 @@ from functools import lru_cache
 from itertools import product
 
 from treealg.linalg import LinComb, Span, kernel_basis, rat, span_contains
-from treealg.trees import LEAF, PBT, catalan, pbt_basis
+from treealg.trees import LABEL_RE, LEAF, PBT, catalan, generator_names, pbt_basis
 from treealg.dendriform import (
     DendElement,
     DendSpan,
     eval_pbt,
+    pbt_expr,
     psi_corolla,
     s_closure,
     substitute,
@@ -51,8 +52,10 @@ def _check_index(i, dim, what):
 class BraceStructure:
     """Finite-dimensional brace algebra by structure constants.
 
-    products maps (root index, argument index tuple) to a LinComb over
-    basis indices; tuples absent within the declared bounds are zero.
+    basis is a list of dim distinct generator names; weights is None
+    (every weight 1) or a list of dim integers >= 1.  products maps
+    (root index, argument index tuple) to a LinComb over basis indices;
+    tuples absent within the declared bounds are zero.
     weight_bound, when set, marks the structure as a truncation: tuples
     of total weight beyond it are unknown and raise on access.
     """
@@ -60,10 +63,15 @@ class BraceStructure:
     def __init__(self, dim, basis, products, weights=None, weight_bound=None):
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise BraceError("dim must be an integer, got %r" % (dim,))
+        if not isinstance(basis, list):
+            raise BraceError("the basis must be a list, got %r" % (basis,))
         if dim != len(basis):
             raise BraceError("dim is %r but the basis has %d entries" % (dim, len(basis)))
-        if not all(isinstance(name, str) for name in basis):
-            raise BraceError("basis entries must be strings, got %r" % (basis,))
+        for name in basis:
+            # a name outside the label grammar, or "1" (the unit), would
+            # print as a product, as the unit or as nothing
+            if not isinstance(name, str) or not LABEL_RE.fullmatch(name) or name == "1":
+                raise BraceError("a basis name must match %s and not be 1, got %r" % (LABEL_RE.pattern, name))
         if len(set(basis)) != dim:
             raise BraceError("the basis has a duplicate entry")
         self.dim = dim
@@ -81,7 +89,9 @@ class BraceStructure:
                 _check_index(i, dim, "value")
             if value:
                 self.products[(root, args)] = value
-        self.weights = list(weights) if weights else [1] * dim
+        if weights is not None and not isinstance(weights, list):
+            raise BraceError("weights must be a list, got %r" % (weights,))
+        self.weights = [1] * dim if weights is None else list(weights)
         if len(self.weights) != dim or not all(
             isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in self.weights
         ):
@@ -176,7 +186,7 @@ class BraceStructure:
 
 def trivial_brace(dim, basis=None) -> BraceStructure:
     if basis is None:
-        basis = [chr(ord("a") + i) for i in range(dim)]
+        basis = generator_names(dim)
     return BraceStructure(dim, basis, {})
 
 
@@ -455,7 +465,7 @@ def harvest_brace(n_gens: int, max_degree: int):
     For each root, and each arity, the argument tuples within the weight
     left by the root come from weighted_tuples in product order.
     Returns (BraceStructure, primitive elements in basis order)."""
-    alphabet = [chr(ord("a") + i) for i in range(n_gens)]
+    alphabet = generator_names(n_gens)
     prims = []
     weights = []
     for d in range(1, max_degree + 1):
@@ -465,8 +475,6 @@ def harvest_brace(n_gens: int, max_degree: int):
     names = ["p%d" % (i + 1) for i in range(len(prims))]
     # pivot tree of each primitive (the echelon pivot): coordinates of a
     # homogeneous primitive vector read off at the pivots
-    from treealg.dendriform import pbt_expr
-
     pivots = []
     for p in prims:
         terms = sorted(p.terms.items(), key=lambda kv: pbt_expr(kv[0]))
@@ -516,7 +524,7 @@ def theta_roundtrip(n_gens: int, bound: int) -> dict:
     the evaluation map, and coproduct intertwining on the up-comb
     monomials of primitives.
     """
-    alphabet = [chr(ord("a") + i) for i in range(n_gens)]
+    alphabet = generator_names(n_gens)
     b, prims = harvest_brace(n_gens, bound)
     q = build_envelope(b, bound, slack=0)
     assign = {name: prims[i] for i, name in enumerate(b.basis)}

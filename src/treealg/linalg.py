@@ -60,6 +60,14 @@ def add_into(d, c, terms):
                 del d[k]
 
 
+def _from_terms(cls, terms):
+    """An instance of the LinComb class cls holding the dict terms as it
+    is, without running __init__; terms must store no zero."""
+    out = object.__new__(cls)
+    out.terms = terms
+    return out
+
+
 class LinComb:
     """Finite formal rational combination over canonically printable keys.
 
@@ -107,9 +115,7 @@ class LinComb:
             c = rat(c)
             if c:
                 add_into(d, c, x.terms if isinstance(x, LinComb) else x)
-        out = cls()
-        out.terms = d
-        return out
+        return _from_terms(cls, d)
 
     def items(self):
         """Terms in print order: sorted by the canonical key encoding.
@@ -145,10 +151,7 @@ class LinComb:
 
     def scale(self, c):
         c = rat(c)
-        out = type(self)()
-        if c:
-            out.terms = {k: c * v for k, v in self.terms.items()}
-        return out
+        return _from_terms(type(self), {k: c * v for k, v in self.terms.items()} if c else {})
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -181,11 +184,10 @@ class LinComb:
 def combine(a: LinComb, c, b: LinComb) -> LinComb:
     """a + c*b with zero-coefficient pruning, of the class of a."""
     c = rat(c)
-    out = type(a)()
-    out.terms = dict(a.terms)
+    d = dict(a.terms)
     if c:
-        add_into(out.terms, c, b.terms)
-    return out
+        add_into(d, c, b.terms)
+    return _from_terms(type(a), d)
 
 
 def to_int_row(vec) -> dict:

@@ -6,7 +6,7 @@ from itertools import permutations, product
 from math import factorial
 
 from treealg.linalg import LinComb, Span
-from treealg.trees import catalan, parse_rooted, pbt_basis, planar_trees, rooted_trees
+from treealg.trees import catalan, generator_names, parse_rooted, pbt_basis, planar_trees, rooted_trees
 from treealg.dendriform import (
     DEND_ONE,
     DendElement,
@@ -45,7 +45,7 @@ from treealg import envelope as env
 
 
 def _gens(n):
-    return [DendElement.generator(chr(ord("a") + i)) for i in range(n)]
+    return [DendElement.generator(a) for a in generator_names(n)]
 
 
 def _psi_of_labeled(t, arity):

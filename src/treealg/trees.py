@@ -36,6 +36,15 @@ class DuplicateLabelError(ValueError):
     pass
 
 
+LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
+
+
+def generator_names(n):
+    """The first n generator names: a..z, then a1..z1, a2..z2 and so on,
+    all distinct and in the label grammar."""
+    return [chr(ord("a") + i % 26) + (str(i // 26) if i >= 26 else "") for i in range(n)]
+
+
 class _LabeledTree:
     """Rooted tree with labeled vertices; a subclass fixes the child
     order in _order.  Trees of different subclasses are never equal,
@@ -256,7 +265,7 @@ def entering_edges(t: PlanarTree, vertex):
     return node.children
 
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z0-9_]+|[(),*])")
+_TOKEN_RE = re.compile(r"\s*(%s|[(),*])" % LABEL_RE.pattern)
 
 
 def _tokenize(text):
@@ -296,7 +305,7 @@ class _Parser:
 
     def label(self):
         tok, pos = self.next()
-        if not re.fullmatch(r"[A-Za-z0-9_]+", tok):
+        if not LABEL_RE.fullmatch(tok):
             raise ParseError("expected a label, found %r" % tok, pos)
         return tok
 

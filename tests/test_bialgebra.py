@@ -107,6 +107,9 @@ def test_coassociativity_small():
 def test_compat_defects_generators():
     assert compat_defect(A, B, ">").is_zero()
     assert compat_defect(A, B, "<").is_zero()
+    # every coefficient of the coproduct of a tree is 1; these are not
+    x, y = A.scale(2) - dprec(A, B), B + dsucc(B, A).scale(Fraction(1, 3))
+    assert compat_defect(x, y, "<").is_zero() and compat_defect(x, y, ">").is_zero()
 
 
 def test_compat_defect_rejects_unit_part():

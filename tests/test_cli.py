@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treealg import cli
 from treealg.cli import main
+from treealg.dendriform import parse_expr
 from treealg.suites import SUITES, SuiteError, run_suite
+from treealg.trees import generator_names
 
 
 def run_cli(argv):
@@ -55,6 +57,13 @@ def test_primitives_pinned_output():
     code, out, _ = run_cli(["primitives", "--gens", "1", "--degree", "2"])
     assert code == 0
     assert '["a<a - a>a"]' in out
+
+
+def test_primitives_name_thirty_generators():
+    code, out, _ = run_cli(["--output", "json", "primitives", "--gens", "30", "--degree", "1"])
+    basis = json.loads(out)["result"]["basis"]
+    assert code == 0 and sorted(basis) == sorted(generator_names(30))
+    assert all(str(parse_expr(name)) == name for name in basis)
 
 
 def test_eval_and_coproduct():
@@ -149,6 +158,13 @@ BAD_BRACES = {
     "dim-float": _brace(dim=1.0),
     "duplicate-basis": _brace(dim=2, basis=["a", "a"]),
     "basis-not-strings": _brace(basis=[0]),
+    "basis-a-string": _brace(dim=2, basis="ab"),
+    "basis-name-a-product": _brace(basis=["a<b"]),
+    "basis-name-the-unit": _brace(basis=["1"]),
+    "basis-name-empty": _brace(basis=[""]),
+    "weights-an-object": _brace(weights={}),
+    "weights-zero": _brace(weights=0),
+    "weights-empty-string": _brace(weights=""),
     "empty-args": _brace(products=[_product(args=())]),
     "weights-length": _brace(weights=[1, 2]),
     "weights-below-1": _brace(weights=[0]),

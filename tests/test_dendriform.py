@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from treealg.operads import ClosureResult
-from treealg.trees import LEAF, parse_planar, pbt_basis
+from treealg.trees import LEAF, parse_pbt, parse_planar, pbt_basis
 from treealg.dendriform import (
     DEND_ONE,
     DendElement,
@@ -70,6 +70,15 @@ def test_unit_products_leave_the_tree_caches_alone():
         op(x, DEND_ONE)
     assert dstar(DEND_ONE, DEND_ONE) == DEND_ONE
     assert [f.cache_info().currsize for f in caches] == [0, 0, 0]
+
+
+def test_product_cache_holds_table_nodes():
+    # parse_pbt builds from the table, so it returns u only if u and
+    # each of its subtrees is the table's node
+    trees = [t for d in range(1, 4) for t in pbt_basis(d, ["a", "b"])]
+    for t, s in product(trees, repeat=2):
+        for u in _tree_prec(t, s).terms:
+            assert parse_pbt(str(u)) is u
 
 
 def test_axiom_instance():

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from treealg.linalg import LinComb
 from treealg.trees import (
+    LABEL_RE,
     LEAF,
     PBT,
     Angle,
@@ -12,6 +13,7 @@ from treealg.trees import (
     catalan,
     entering_edges,
     enumerate_trees,
+    generator_names,
     parse_pbt,
     parse_planar,
     parse_rooted,
@@ -199,6 +201,30 @@ def test_pbt_labels_must_be_strings():
         with pytest.raises(TypeError):
             PBT(one, label, LEAF)
     assert PBT(LEAF, "1", LEAF) is one
+
+
+def interned(t):
+    """t and each of its subtrees is the node the table holds."""
+    if t.is_leaf():
+        return t is LEAF
+    return PBT._nodes.get((t.left, t.label, t.right)) is t and interned(t.left) and interned(t.right)
+
+
+def test_equal_trees_are_one_node():
+    rename = {"a": "x", "b": "y"}
+    back = {v: k for k, v in rename.items()}
+    for t in (t for d in range(1, 5) for t in pbt_basis(d, ["a", "b"])):
+        assert PBT(t.left, t.label, t.right) is t
+        assert parse_pbt(str(t)) is t
+        assert t.relabel(rename).relabel(back) is t
+        assert interned(t)
+
+
+def test_generator_names():
+    names = generator_names(30)
+    assert names[:26] == list("abcdefghijklmnopqrstuvwxyz")
+    assert len(set(names)) == 30
+    assert all(LABEL_RE.fullmatch(a) and a != "1" for a in names)
 
 
 def test_enumerate_trees_dispatch():
