@@ -74,14 +74,6 @@ class DendElement(LinComb):
         """Coefficient of the unit."""
         return self.coeff(LEAF)
 
-    def degrees(self):
-        """Degrees with nonzero component (unit counts as degree 0)."""
-        return sorted({t.degree for t in self.terms})
-
-    def top_degree(self) -> int:
-        degs = self.degrees()
-        return degs[-1] if degs else 0
-
     def decorations(self):
         out = set()
         for t in self.terms:

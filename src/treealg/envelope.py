@@ -157,13 +157,14 @@ class BraceStructure:
     @classmethod
     def from_json(cls, data) -> "BraceStructure":
         """Parse and validate; any malformed input, a missing key or a
-        coefficient that is not a rational included, raises BraceError.
+        coefficient that is not an exact rational included, raises
+        BraceError.
         Keys other than dim, basis, products and weights are ignored."""
         try:
             products = {}
             for entry in data.get("products", []):
                 value = LinComb(
-                    (item["index"], rat(item["coeff"])) for item in entry["value"]
+                    (item["index"], _exact_coeff(item["coeff"])) for item in entry["value"]
                 )
                 products[(entry["root"], tuple(entry["args"]))] = value
             return cls(data["dim"], data["basis"], products, weights=data.get("weights"))
@@ -182,6 +183,15 @@ class BraceStructure:
             except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
                 raise BraceError("%s is not a JSON file: %s" % (path, exc)) from None
         return cls.from_json(data)
+
+
+def _exact_coeff(c):
+    """A JSON coefficient as an exact rational: an integer, or a string
+    such as "-2/3".  A float would be read as its binary value and a
+    boolean as 0 or 1, so both raise."""
+    if isinstance(c, bool) or not isinstance(c, (int, str)):
+        raise BraceError('a coefficient must be an integer or a "p/q" string, got %r' % (c,))
+    return rat(c)
 
 
 def trivial_brace(dim, basis=None) -> BraceStructure:
@@ -439,9 +449,11 @@ def _structure_roundtrip(q: TruncatedQuotient, prim_elems) -> dict:
     within the truncation bound, in weighted_tuples order by arity."""
     b = q.brace
     letters = [DendElement.generator(name) for name in b.basis]
-    # primitives must span exactly the letter lines
-    letters_in = all(span_contains(prim_elems, q.reduce(x)) for x in letters)
-    size_match = len(prim_elems) == b.dim
+    # primitives must span exactly the lines of the letters within the
+    # bound; a heavier letter lies outside the truncation
+    within = [x for x, w in zip(letters, b.weights) if w <= q.bound]
+    letters_in = all(span_contains(prim_elems, q.reduce(x)) for x in within)
+    size_match = len(prim_elems) == len(within)
     limit = q.bound if b.weight_bound is None else min(q.bound, b.weight_bound)
     product_defects = [
         {"root": tup[0], "args": list(tup[1:])}

@@ -126,11 +126,6 @@ def to_rooted(t: PlanarTree) -> RootedTree:
     return RootedTree(t.label, [to_rooted(c) for c in t.children])
 
 
-def to_planar(t: RootedTree) -> PlanarTree:
-    """Planar embedding in the canonical (sorted) child order."""
-    return PlanarTree(t.label, [to_planar(c) for c in t.children])
-
-
 class PBT:
     """Planar binary tree with generator-decorated internal nodes.
 
@@ -254,15 +249,6 @@ def angles(t: PlanarTree):
 
     walk(t)
     return out
-
-
-def entering_edges(t: PlanarTree, vertex):
-    """Child subtrees of the vertex in planar order (edges point to the
-    root, so the incoming edges at v are exactly its child edges)."""
-    node = t.find(vertex)
-    if node is None:
-        raise KeyError("no vertex %r in %s" % (vertex, t))
-    return node.children
 
 
 _TOKEN_RE = re.compile(r"\s*(%s|[(),*])" % LABEL_RE.pattern)
@@ -499,21 +485,3 @@ def weighted_pbt_basis(alphabet, weights, max_weight):
         result.extend(exact[d])
     return result
 
-
-def enumerate_trees(species, size, labels=None):
-    """Exhaustive duplicate-free enumeration.
-
-    planar without labels: shapes (Catalan(size-1) many); with labels:
-    all labeled trees.  nonplanar: labeled trees (default labels
-    1..size).  pbt without labels: shapes; with labels: all decoration
-    assignments (len(labels)^size many).
-    """
-    if species == "planar":
-        return planar_trees(labels) if labels is not None else planar_shapes(size)
-    if species == "nonplanar":
-        if labels is None:
-            labels = [str(i) for i in range(1, size + 1)]
-        return rooted_trees(labels)
-    if species == "pbt":
-        return pbt_basis(size, labels) if labels is not None else pbt_shapes(size)
-    raise ValueError("unknown tree species %r" % species)

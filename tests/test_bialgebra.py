@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from treealg.linalg import LinComb, kernel_basis
-from treealg.trees import LEAF, pbt_basis
+from treealg.trees import LEAF, parse_pbt, pbt_basis
 from treealg.dendriform import (
     DEND_ONE,
     DendElement,
@@ -52,6 +52,11 @@ def test_equality_is_by_class():
     assert DendElement() != TensorSquareElement()
     assert LinComb() != TensorSquareElement()
     assert DEND_ONE != LinComb.single(LEAF)
+    # within a class, equal terms: the unit part and Fraction coefficients count
+    x = DEND_ONE.scale(Fraction(1, 2)) + A.scale(Fraction(2, 3)) - dprec(A, B)
+    a, ab = parse_pbt("(* a *)"), parse_pbt("(* a (* b *))")
+    assert x == DendElement({ab: -1, LEAF: Fraction(1, 2), a: Fraction(2, 3)})
+    assert x != x + DEND_ONE.scale(Fraction(1, 3)) and x != x + A.scale(Fraction(1, 3))
 
 
 def test_coproduct_unit():
@@ -90,6 +95,22 @@ def test_coproduct_is_star_morphism():
 
 def _leg(key):
     return DEND_ONE if key.is_leaf() else DendElement.from_tree(key)
+
+
+def test_coproduct_and_map_legs_with_a_unit_part_and_fractions():
+    x = DEND_ONE.scale(Fraction(1, 2)) + A.scale(Fraction(2, 3)) - dprec(A, B)
+    assert str(coproduct(x)) == (
+        "1/2*[1 (x) 1] + 2/3*[1 (x) a] + 2/3*[a (x) 1] - 1 (x) a<b - a<b (x) 1 - b (x) a"
+    )
+    t = tens(DEND_ONE, A).scale(Fraction(1, 2)) - tens(A, DEND_ONE).scale(3)
+    assert str(t) == "1/2*[1 (x) a] - 3*[a (x) 1]"
+    # each leg s goes to s*(1 + 2b); 1 goes to 1 + 2b, a to a + 2a<b + 2a>b
+    image = t.map_legs(lambda s: dstar(DendElement.from_tree(s), DEND_ONE + B.scale(2)))
+    assert str(image) == (
+        "1/2*[1 (x) a] - 3*[a (x) 1] + 1 (x) a<b + 1 (x) a>b - 6*[a (x) b] - 6*[a<b (x) 1]"
+        " - 6*[a>b (x) 1] + b (x) a - 12*[a<b (x) b] - 12*[a>b (x) b] + 2*[b (x) a<b]"
+        " + 2*[b (x) a>b]"
+    )
 
 
 def test_coproduct_degree_compatible():

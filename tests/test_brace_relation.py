@@ -6,7 +6,8 @@ the splittings of the arguments into 2n+1 blocks; both now go through
 operads.brace_relation.  old_brace_relation_defect and
 old_dend_relation_defect are verbatim copies of the functions as they
 were before; the tests require the same defects.  validate_brace, the
-third caller, is covered by old_validate_brace in test_enumeration.py.
+third caller, is pinned by the valid and invalid braces of
+tests/test_envelope.py and the tuples of tests/test_enumeration.py.
 """
 
 from math import comb

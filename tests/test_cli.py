@@ -123,6 +123,16 @@ def test_envelope_command(tmp_path):
     assert any("arity-2" in note for note in doc["result"]["notes"])
 
 
+def test_envelope_letter_heavier_than_the_bound(tmp_path):
+    # b lies outside the truncation at bound 2; the report covers a only
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"dim": 2, "basis": ["a", "b"], "products": [], "weights": [1, 5]}))
+    code, out, _ = run_cli(["--output", "json", "envelope", "--brace", str(path), "--bound", "2"])
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert (result["dims"], result["primitive_basis"]) == ([1, 1, 1], ["a"])
+
+
 def test_envelope_invalid_brace(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -176,6 +186,8 @@ BAD_BRACES = {
     "bad-coefficient": _brace(
         products=[{"root": 0, "args": [0], "value": [{"coeff": "abc", "index": 0}]}]
     ),
+    "coeff-float": _brace(products=[{"root": 0, "args": [0], "value": [{"coeff": 0.1, "index": 0}]}]),
+    "coeff-bool": _brace(products=[{"root": 0, "args": [0], "value": [{"coeff": True, "index": 0}]}]),
 }
 
 BAD_ARGS = [

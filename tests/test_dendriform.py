@@ -7,16 +7,18 @@ from pathlib import Path
 
 import pytest
 
+from treealg import dendriform
+from treealg.linalg import LinComb
 from treealg.operads import ClosureResult
-from treealg.trees import LEAF, parse_pbt, parse_planar, pbt_basis
+from treealg.suites import run_suite
+from treealg.trees import LEAF, PBT, parse_pbt, parse_planar, pbt_basis
 from treealg.dendriform import (
     DEND_ONE,
     DendElement,
     ExprError,
     UnitProductError,
     _tree_prec,
-    _tree_star,
-    _tree_succ,
+    _unit_star,
     downcomb,
     dprec,
     dstar,
@@ -59,17 +61,31 @@ def test_unit_times_unit_undefined():
         dprec(half + A, DEND_ONE + B)
 
 
-def test_unit_products_leave_the_tree_caches_alone():
-    # cleared first, so a pair cached by an earlier test cannot hide one
-    x = dprec(A, B) - A.scale(Fraction(1, 2))
-    caches = (_tree_prec, _tree_succ, _tree_star)
-    for f in caches:
-        f.cache_clear()
+def test_unit_products_leave_the_tree_caches_alone(fresh_tree_caches):
+    # a<b built from its tree, so that no product fills a cache
+    x = DendElement.from_tree(parse_pbt("(* a (* b *))")) - A.scale(Fraction(1, 2))
     for op in (dprec, dsucc, dstar):
         op(DEND_ONE, x)
         op(x, DEND_ONE)
     assert dstar(DEND_ONE, DEND_ONE) == DEND_ONE
-    assert [f.cache_info().currsize for f in caches] == [0, 0, 0]
+    assert [f.cache_info().currsize for f in fresh_tree_caches] == [0, 0, 0]
+
+
+def test_wrong_star_alone_is_star_split(monkeypatch, fresh_tree_caches):
+    # the axioms suite checks x*y = x<y + x>y on every pair it multiplies,
+    # so a star product wrong on one pair is reported there, and only there
+    a, b = parse_pbt("(* a *)"), parse_pbt("(* b *)")
+    original = dendriform._tree_star
+
+    def wrong_star(t, s):
+        if t is a and s is b:
+            return original(t, s) + LinComb.single(PBT(LEAF, "b", a))
+        return original(t, s)
+
+    monkeypatch.setattr(dendriform, "_tree_star", wrong_star)
+    monkeypatch.setitem(dendriform._PRODUCTS, "*", (wrong_star, _unit_star))
+    splits = [d for d in run_suite("axioms", 4)["defects"] if d["axiom"] == "star-split"]
+    assert splits == [{"axiom": "star-split", "pair": [str(a), str(b)]}]
 
 
 def test_product_cache_holds_table_nodes():
@@ -113,8 +129,8 @@ def test_axioms_one_generator_to_degree_six():
 def test_degree_additivity():
     x = dprec(A, B)
     y = dsucc(dstar(A, B), C)
-    assert x.top_degree() == 2 and y.top_degree() == 3
-    assert dprec(x, y).top_degree() == 5
+    assert {t.degree for t in x.terms} == {2} and {t.degree for t in y.terms} == {3}
+    assert {t.degree for t in dprec(x, y).terms} == {5}
 
 
 def test_combs():
@@ -156,6 +172,16 @@ def test_s_closure_examples():
     assert span3.degree_dims() == {1: 0, 2: 1, 3: 4}
     empty = s_closure([], 3, alphabet=["a"])
     assert empty.rank == 0
+    # c alone: the closure needs (a<b)>c, which no product with a letter gives
+    assert s_closure([C], 3, ["a", "b", "c"]).contains(dsucc(dprec(A, B), C))
+    # inhomogeneous seeds cut near the cutoff, and weighted letters; the
+    # closure by every basis tree on all four sides gives the same spans
+    dims = s_closure([A + dprec(A, B)], 4, ["a", "b"]).degree_dims()
+    assert dims == {1: 0, 2: 1, 3: 8, 4: 58}
+    dims = s_closure([dprec(A, A) - dsucc(B, A), dsucc(A, dprec(B, A)) - B], 4, ["a", "b"]).degree_dims()
+    assert dims == {1: 0, 2: 1, 3: 9, 4: 66}
+    dims = s_closure([dprec(A, B) - dsucc(B, A)], 5, ["a", "b"], {"a": 1, "b": 2}).degree_dims()
+    assert dims == {1: 0, 2: 0, 3: 1, 4: 4, 5: 19}
 
 
 def test_s_closure_rejects_unit_seed():
@@ -263,6 +289,10 @@ def test_element_str_examples():
     assert str(DEND_ONE) == "1"
     assert str(DendElement()) == "0"
     assert str(A.scale(Fraction(2, 3))) == "2/3*a"
+    x = DEND_ONE.scale(Fraction(1, 2)) + A.scale(Fraction(2, 3)) - dprec(A, B)
+    assert str(x) == "1/2 + 2/3*a - a<b"
+    assert str(-x) == "-1/2 - 2/3*a + a<b"
+    assert str(A - DEND_ONE.scale(Fraction(1, 2))) == "-1/2 + a"
 
 
 def test_from_tree_of_leaf_is_the_unit():
@@ -273,3 +303,6 @@ def test_from_tree_of_leaf_is_the_unit():
 def test_substitute_keeps_the_unit():
     e = DEND_ONE.scale(2) + dprec(A, B)
     assert substitute(e, {"a": B, "b": dsucc(A, C)}) == DEND_ONE.scale(2) + dprec(B, dsucc(A, C))
+    # a<b goes to (1+b)<(2a) = 2*b<a, since 1<s = 0
+    x = DEND_ONE.scale(Fraction(1, 2)) + A.scale(Fraction(2, 3)) - dprec(A, B)
+    assert str(substitute(x, {"a": DEND_ONE + B, "b": A.scale(2)})) == "7/6 + 2/3*b - 2*b<a"

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -28,14 +29,24 @@ from treealg.envelope import (
     validate_brace,
 )
 
-from test_closure import weighted_inhomogeneous_brace
-
 A = DendElement.generator("a")
 
 
 def assoc_brace():
     """One-dimensional brace of an associative product: {b|b} = b."""
     return BraceStructure(1, ["b"], {(0, (0,)): LinComb.single(0)})
+
+
+def weighted_inhomogeneous_brace():
+    """Letters x, y, u of weights 1, 1, 2 with {x|y} = u, {y|x} = -u and
+    {u|x} = u; the last relation u<x - x>u - u is inhomogeneous.  It is
+    invalid on purpose: it breaks the brace relation at arity 3."""
+    products = {
+        (0, (1,)): LinComb.single(2),
+        (1, (0,)): LinComb({2: -1}),
+        (2, (0,)): LinComb.single(2),
+    }
+    return BraceStructure(3, ["x", "y", "u"], products, weights=[1, 1, 2])
 
 
 def invalid_brace():
@@ -253,6 +264,15 @@ def test_harvested_constants_match_brace_of_primitives():
     value = b.brace(0, (0,))
     assert str(value.map_keys(lambda i: b.basis[i])) == "p2"
     assert psi_corolla([prims[0], prims[0]]) == prims[1]
+    # every tuple within the weight bound holds the corolla image of its
+    # primitives
+    tuples = [
+        t for n in (2, 3) for t in product(range(b.dim), repeat=n) if b.tuple_weight(t[0], t[1:]) <= 3
+    ]
+    assert len(tuples) == len(b.products) == 4
+    for t in tuples:
+        value = DendElement.sum((prims[i], c) for i, c in b.brace(t[0], t[1:]).terms.items())
+        assert psi_corolla([prims[j] for j in t]) == value, t
 
 
 def test_brace_structure_json_roundtrip(tmp_path):

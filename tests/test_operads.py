@@ -1,12 +1,14 @@
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
 
-from treealg.linalg import LinComb
+from treealg.linalg import LinComb, Span
 from treealg.trees import catalan, parse_planar, parse_rooted, planar_trees, rooted_trees
-from treealg.dendriform import DendElement, psi_eval
+from treealg.dendriform import DendElement, dprec, dsucc, psi_eval
 from treealg.operads import (
     OperadElement,
+    _graft,
     brace_relation_defect,
     compose_ape,
     compose_prelie,
@@ -17,14 +19,17 @@ from treealg.operads import (
     multilinear_basis,
     phi,
     quotient_dims,
+    relabel_element,
 )
-
-from test_closure import corolla_seeds, full_image_seeds, old_ideal_closure
 
 
 def test_compose_ape_leaf():
     out = compose_ape(parse_planar("1(2)"), "2", parse_planar("3"))
     assert out == LinComb.single(parse_planar("1(3)"))
+    # bilinear: each term's coefficient is the product of its factors'
+    inner = LinComb([(parse_planar("3"), 3), (parse_planar("4"), "-1/2")])
+    out = compose_ape(LinComb.single(parse_planar("1(2)"), 2), "2", inner)
+    assert out == LinComb([(parse_planar("1(3)"), 6), (parse_planar("1(4)"), -1)])
 
 
 def test_compose_ape_three_terms():
@@ -55,6 +60,11 @@ def test_compose_term_count_law():
 def test_compose_ape_label_collision_rejected():
     with pytest.raises(ValueError):
         compose_ape(parse_planar("1(2)"), "1", parse_planar("2(3)"))
+    for parse, compose in ((parse_planar, compose_ape), (parse_rooted, compose_prelie)):
+        with pytest.raises(ValueError, match=r"^label collision \['3'\] between 1\(2,3\) and 3\(4\)$"):
+            compose(parse("1(2,3)"), "2", parse("3(4)"))
+        with pytest.raises(KeyError, match=r"^\"no vertex '9' in 1\(2\)\"$"):
+            compose(parse("1(2)"), "9", parse("3"))
 
 
 def test_compose_prelie_example():
@@ -201,8 +211,6 @@ def test_multilinear_space_dims():
 
 
 def _psi_corolla_image(n):
-    from itertools import permutations
-
     labels = [str(i) for i in range(1, n + 1)]
     out = []
     for root in labels:
@@ -223,6 +231,12 @@ def test_ideal_closure_examples():
     assert empty.dims() == {2: 0, 3: 0}
     assert quotient_dims(empty) == {2: 4, 3: 30}
     assert quotient_dims(cl) == {2: 2, 3: 6}
+    # one arity-3 row not symmetric in its letters: its relabellings span
+    # 3 dimensions, and closing them under every multilinear monomial on
+    # both sides gives 92 in arity 4
+    g1, g2, g3 = (DendElement.generator(str(i)) for i in range(1, 4))
+    row = dprec(dsucc(g2, g1), g3) - dsucc(g3, dprec(g1, g2))
+    assert ideal_closure({3: [row]}, 4).dims() == {2: 0, 3: 3, 4: 92}
 
 
 def test_quotient_dims_full_space():
@@ -232,21 +246,47 @@ def test_quotient_dims_full_space():
 
 
 def test_closure_relabel_stability_arity3():
-    from itertools import permutations
-    from treealg.operads import relabel_element
-
-    cl = ideal_closure(corolla_seeds(range(2, 4)), 3)
+    cl = ideal_closure({n: _psi_corolla_image(n) for n in (2, 3)}, 3)
     letters = ["1", "2", "3"]
     for e in cl.basis_elements(3):
         for perm in permutations(letters):
             assert cl.contains(3, relabel_element(e, dict(zip(letters, perm))))
 
 
+def left_ideal(seeds, max_arity):
+    """Per arity, the span of e o_@ s for every seed s, placed on every
+    set of letters, and every multilinear monomial e on the other
+    letters and @.  For seeds closed under relabelling this is the left
+    ideal they generate, since e o (e' o s) = (e o e') o s."""
+    spans = {n: Span(multilinear_basis(n)) for n in range(2, max_arity + 1)}
+    for k, gens in seeds.items():
+        own = [str(i) for i in range(1, k + 1)]
+        for n in range(k, max_arity + 1):
+            letters = [str(i) for i in range(1, n + 1)]
+            for inner in combinations(letters, k):
+                rest = [a for a in letters if a not in inner] + ["@"]
+                names = {str(i + 1): a for i, a in enumerate(rest)}
+                monomials = [
+                    DendElement.from_tree(t.relabel(names)) for t in multilinear_basis(len(rest))
+                ]
+                for g in gens:
+                    s = relabel_element(g, dict(zip(own, inner)))
+                    for e in monomials:
+                        spans[n].insert(_graft(e, "@", s))
+    return spans
+
+
 def test_left_ideal_of_full_image_is_two_sided():
-    two = ideal_closure(corolla_seeds(range(2, 5)), 4)
-    left = old_ideal_closure(full_image_seeds(4), 4, "left")
+    two = ideal_closure({n: _psi_corolla_image(n) for n in (2, 3, 4)}, 4)
+    # the psi images of every labeled planar tree, closed under relabelling
+    full = {}
     for n in (2, 3, 4):
-        assert left.basis_elements(n) == two.basis_elements(n)
+        labels = [str(i) for i in range(1, n + 1)]
+        args = [DendElement.generator(a) for a in labels]
+        full[n] = [psi_eval(t, args) for t in planar_trees(labels)]
+    left = left_ideal(full, 4)
+    for n in (2, 3, 4):
+        assert [DendElement(b) for b in left[n].basis()] == two.basis_elements(n)
 
 
 def test_corolla_shape():

@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +13,6 @@ from treealg.trees import (
     ParseError,
     angles,
     catalan,
-    entering_edges,
-    enumerate_trees,
     generator_names,
     parse_pbt,
     parse_planar,
@@ -22,7 +22,6 @@ from treealg.trees import (
     planar_shapes,
     planar_trees,
     rooted_trees,
-    to_planar,
     to_rooted,
     weighted_pbt_basis,
 )
@@ -38,8 +37,6 @@ def catalan_oracle(n):
 
 def cayley_count_oracle(n):
     """Rooted labeled trees on n vertices by brute-force parent maps."""
-    from itertools import product
-
     count = 0
     for root in range(n):
         others = [v for v in range(n) if v != root]
@@ -78,7 +75,7 @@ def test_planar_and_rooted_trees_stay_distinct():
     assert p != r and r != p
     assert (repr(p), repr(r)) == ("PlanarTree('1(2,3)')", "RootedTree('1(2,3)')")
     assert len(LinComb([(p, 1), (r, 1)]).terms) == 2
-    assert to_rooted(p) == r and to_planar(r) == p
+    assert to_rooted(p) == r
 
 
 def test_parse_pbt_example():
@@ -124,20 +121,16 @@ def test_angle_order_at_one_vertex_is_slot_order():
         assert slots == sorted(slots)
 
 
-def test_entering_edges_examples():
-    t = parse_planar("1(2,3)")
-    assert [str(s) for s in entering_edges(t, "1")] == ["2", "3"]
-    assert entering_edges(t, "3") == ()
-    assert [str(s) for s in entering_edges(parse_planar("1(2(4),3)"), "2")] == ["4"]
-    with pytest.raises(KeyError):
-        entering_edges(t, "9")
-
-
 def test_planar_shape_counts():
     assert len(planar_shapes(3)) == 2
     for n in range(1, 8):
         assert len(planar_shapes(n)) == catalan_oracle(n - 1)
     assert {str(t) for t in planar_shapes(3)} == {"1(2(3))", "1(2,3)"}
+    # by the size of the root's first subtree, then by that subtree's
+    # shape, then by the shapes of the rest
+    assert [str(t) for t in planar_shapes(4)] == [
+        "1(2,3,4)", "1(2,3(4))", "1(2(3),4)", "1(2(3,4))", "1(2(3(4)))"
+    ]
 
 
 def test_labeled_rooted_trees_cayley():
@@ -155,6 +148,16 @@ def test_pbt_shape_counts():
 
 def test_planar_labeled_count():
     assert len(planar_trees(["1", "2", "3"])) == catalan(2) * 6
+    # by shape in planar_shapes order, then by the labels in preorder, in
+    # itertools.permutations order
+    for n in range(1, 6):
+        labels = [str(i) for i in range(1, n + 1)]
+        spec = [
+            shape.relabel(dict(zip(labels, perm)))
+            for shape in planar_shapes(n)
+            for perm in permutations(labels)
+        ]
+        assert planar_trees(labels) == spec
 
 
 def test_parse_print_roundtrip_enumerated():
@@ -174,9 +177,6 @@ def test_parse_print_roundtrip_enumerated():
 
 
 def test_nonplanar_canonicalization_permutation_invariant():
-    for t in planar_trees(["1", "2", "3", "4"]):
-        r = to_rooted(t)
-        assert to_rooted(to_planar(r)) == r
     # all planar embeddings of one rooted tree canonicalize identically
     groups = {}
     for t in planar_trees(["1", "2", "3"]):
@@ -227,14 +227,18 @@ def test_generator_names():
     assert all(LABEL_RE.fullmatch(a) and a != "1" for a in names)
 
 
-def test_enumerate_trees_dispatch():
-    assert len(enumerate_trees("planar", 3)) == 2
-    assert len(enumerate_trees("planar", 3, labels=["1", "2", "3"])) == 12
-    assert len(enumerate_trees("nonplanar", 3)) == 9
-    assert len(enumerate_trees("pbt", 4)) == 14
-    assert len(enumerate_trees("pbt", 2, labels=["a", "b"])) == 8
-    with pytest.raises(ValueError):
-        enumerate_trees("weird", 2)
+@pytest.mark.parametrize("alphabet", [["a"], ["a", "b"], ["a", "b", "c"]])
+def test_pbt_basis_order(alphabet):
+    # by shape in pbt_shapes order, then by decoration word in
+    # itertools.product order; each tree is its shape, whose infix labels
+    # are 1..d, relabelled by its word
+    for d in range(1, 7):
+        spec = [
+            shape.relabel({str(i + 1): a for i, a in enumerate(word)})
+            for shape in pbt_shapes(d)
+            for word in product(alphabet, repeat=d)
+        ]
+        assert pbt_basis(d, alphabet) == spec
 
 
 def test_weighted_pbt_basis_matches_flat_weights():

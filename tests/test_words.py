@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -105,6 +106,8 @@ def test_zin_eval_examples():
     assert zin_eval(dprec(a, a) - dsucc(a, a)).is_zero()
     z, x, y = (DendElement.generator(s) for s in "zxy")
     assert zin_eval(psi_corolla([z, x, y])).is_zero()
+    e = DendElement.one().scale(Fraction(1, 2)) + a.scale(Fraction(2, 3)) - dprec(a, b)
+    assert zin_eval(e) == LinComb({EMPTY: Fraction(1, 2), W("a"): Fraction(2, 3), W("ab"): -1})
 
 
 def test_zin_eval_is_algebra_morphism():
