@@ -68,7 +68,7 @@ def _delta_tree(t) -> LinComb:
             if l1.is_leaf() or r1.is_leaf():
                 star = _unit_star(l1, r1)
             else:
-                star = _tree_star(l1, r1).terms
+                star = _tree_star(l1, r1)
             parts.append(({(u, right): cu for u, cu in star.items()}, a * b))
     return LinComb.sum(parts)
 

@@ -14,6 +14,13 @@ and raise.
 ``product_sum`` is the only loop over pairs of terms: it extends the
 tree products bilinearly and sums any number of products into one
 dict.  ``dprec``, ``dsucc`` and ``dstar`` are its one-part calls.
+
+The products of two non-empty trees, ``_tree_prec``, ``_tree_succ``
+and ``_tree_star``, are cached and return bare dicts of terms (tree ->
+int), not ``LinComb``s.  A cached dict is shared by every later call,
+so its callers (``product_sum``, the recursion itself and
+``bialgebra._delta_tree``) only read it; ``_tree_star`` copies the
+``_tree_prec`` dict before adding into it.
 """
 
 from functools import lru_cache
@@ -28,26 +35,23 @@ class UnitProductError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _tree_prec(t: PBT, s: PBT) -> LinComb:
-    if t.right.is_leaf():
-        rs = {s: 1}
-    else:
-        rs = _tree_star(t.right, s).terms
-    return LinComb((PBT(t.left, t.label, u), c) for u, c in rs.items())
+def _tree_prec(t: PBT, s: PBT) -> dict:
+    rs = {s: 1} if t.right.is_leaf() else _tree_star(t.right, s)
+    # PBT(l, a, u) is injective in u: no two terms meet
+    return {PBT(t.left, t.label, u): c for u, c in rs.items()}
 
 
 @lru_cache(maxsize=None)
-def _tree_succ(t: PBT, s: PBT) -> LinComb:
-    if s.left.is_leaf():
-        tl = {t: 1}
-    else:
-        tl = _tree_star(t, s.left).terms
-    return LinComb((PBT(u, s.label, s.right), c) for u, c in tl.items())
+def _tree_succ(t: PBT, s: PBT) -> dict:
+    tl = {t: 1} if s.left.is_leaf() else _tree_star(t, s.left)
+    return {PBT(u, s.label, s.right): c for u, c in tl.items()}
 
 
 @lru_cache(maxsize=None)
-def _tree_star(t: PBT, s: PBT) -> LinComb:
-    return _tree_prec(t, s) + _tree_succ(t, s)
+def _tree_star(t: PBT, s: PBT) -> dict:
+    d = dict(_tree_prec(t, s))
+    add_into(d, 1, _tree_succ(t, s))
+    return d
 
 
 class DendElement(LinComb):
@@ -121,7 +125,9 @@ def product_sum(parts) -> DendElement:
     one dict.  op is "<", ">" or "*" (any other raises KeyError); c is
     an int or a Fraction, and a part with c = 0 adds nothing.  Each
     product is the bilinear extension of the tree product; a pair with
-    the unit goes to the unit rules, so the tree caches never see LEAF."""
+    the unit goes to the unit rules, so the tree caches never see LEAF.
+    The cached tree products are bare dicts, which this loop only reads:
+    add_into copies their terms into d and never writes them."""
     d = {}
     for x, op, y, c in parts:
         tree_op, unit_rule = _PRODUCTS[op]
@@ -134,7 +140,7 @@ def product_sum(parts) -> DendElement:
                 if t is LEAF or s is LEAF:
                     add_into(d, ac * b, unit_rule(t, s))
                 else:
-                    add_into(d, ac * b, tree_op(t, s).terms)
+                    add_into(d, ac * b, tree_op(t, s))
     return _from_terms(DendElement, d)
 
 

@@ -20,6 +20,11 @@ The package's element types (``DendElement``, ``TensorSquareElement``)
 subclass ``LinComb``.  Arithmetic keeps the class of its left operand,
 equality holds only between combinations of the same class, and a
 subclass prints in its own ``items()`` order through its ``_term``.
+Every public result is a ``LinComb``.  Below that, the cached products
+of two trees (``dendriform._tree_prec``, ``_tree_succ`` and
+``_tree_star``) are bare dicts of terms, which ``product_sum`` and
+``bialgebra._delta_tree`` only read; ``_delta_tree`` itself stays a
+``LinComb``.
 
 ``EchelonSpan`` (``Span``'s engine), ``to_int_row`` and ``_kernel``
 with its ``BACKEND``, ``reduce_row`` and ``rref`` keep their names

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from treealg import dendriform
-from treealg.linalg import LinComb
 from treealg.operads import ClosureResult
 from treealg.suites import run_suite
 from treealg.trees import LEAF, PBT, parse_pbt, parse_planar, pbt_basis
@@ -26,6 +25,7 @@ from treealg.dendriform import (
     parse_expr,
     pbt_expr,
     pli,
+    product_sum,
     psi_corolla,
     psi_eval,
     s_closure,
@@ -79,7 +79,7 @@ def test_wrong_star_alone_is_star_split(monkeypatch, fresh_tree_caches):
 
     def wrong_star(t, s):
         if t is a and s is b:
-            return original(t, s) + LinComb.single(PBT(LEAF, "b", a))
+            return {**original(t, s), PBT(LEAF, "b", a): 1}
         return original(t, s)
 
     monkeypatch.setattr(dendriform, "_tree_star", wrong_star)
@@ -93,8 +93,26 @@ def test_product_cache_holds_table_nodes():
     # each of its subtrees is the table's node
     trees = [t for d in range(1, 4) for t in pbt_basis(d, ["a", "b"])]
     for t, s in product(trees, repeat=2):
-        for u in _tree_prec(t, s).terms:
+        for u in _tree_prec(t, s):
             assert parse_pbt(str(u)) is u
+
+
+def test_cached_tree_products_are_never_written(fresh_tree_caches):
+    # the caches hand out their dicts, not copies: a caller that writes
+    # into one changes every later product of that pair
+    trees = [t for d in range(1, 4) for t in pbt_basis(d, ["a", "b"])]
+    kept = []
+    for f in fresh_tree_caches:
+        for t, s in product(trees, repeat=2):
+            v = f(t, s)
+            kept.append((f, t, s, v, dict(v)))
+    run_suite("axioms", 4)
+    run_suite("bialgebra", 3)
+    x = DendElement.from_tree(trees[3], -2) + A.scale(Fraction(1, 3))
+    product_sum([(x, "<", x, Fraction(-3, 4)), (x, ">", B, -1), (x, "*", x, Fraction(2, 5))])
+    for f, t, s, v, copy in kept:
+        assert v == copy, (f.__name__, str(t), str(s))
+        assert f(t, s) is v
 
 
 def test_axiom_instance():
