@@ -1,11 +1,12 @@
-"""Elimination kernel on sparse rows.
+"""Elimination kernel on sparse integer rows.
 
 A row is a ``dict`` column -> nonzero coefficient; columns are ints
 and their order is the elimination order.  A set of echelon rows is a
-``dict`` keyed by pivot, the row's smallest column.  Integer rows
-represent a rational vector up to positive scale and are stored
-content-free with a positive pivot.  ``treealg.linalg`` clears
-denominators and runs every elimination through ``eliminate``.
+``dict`` keyed by pivot, the row's smallest column.  An integer row
+represents a rational vector up to positive scale and is stored
+content-free with a positive pivot.  Every elimination in the package
+is fraction-free on such rows: ``treealg.linalg`` clears denominators
+and calls ``reduce_row`` or ``rref``, which both run ``eliminate``.
 ``BACKEND`` and the names ``normalize_row``, ``reduce_row`` and
 ``rref`` stay for the benchmark's tracer (ROADMAP item 1).
 """
@@ -16,19 +17,13 @@ from math import gcd
 BACKEND = "python"
 
 
-def fraction_free(c, q):
-    """Multipliers (mv, mr) of the integer step v = mv*v - mr*r that
-    clears v[p] = c against r[p] = q > 0; mv is positive."""
-    g = gcd(c, q)
-    return q // g, c // g
-
-
-def eliminate(v, rows, step):
-    """Eliminate v at the pivots of ``rows``; return the rest as a new dict.
+def eliminate(v, rows):
+    """Eliminate the integer row v at the pivots of ``rows``; return the
+    rest, up to positive scale, as a new dict.
 
     Pivot columns are visited in increasing order from a heap.  At the
-    pivot p of row r, ``step(v[p], r[p])`` gives (mv, mr) and v becomes
-    ``mv*v - mr*r``.
+    pivot p of row r, with c = v[p], q = r[p] > 0 and g = gcd(c, q), v
+    becomes ``(q/g)*v - (c/g)*r``.
     """
     v = dict(v)
     heap = [k for k in v if k in rows]
@@ -39,7 +34,8 @@ def eliminate(v, rows, step):
         if not c:
             continue
         r = rows[p]
-        mv, mr = step(c, r[p])
+        g = gcd(c, r[p])
+        mv, mr = r[p] // g, c // g
         if mv != 1:
             v = {k: mv * a for k, a in v.items()}
         for k, b in r.items():
@@ -70,7 +66,7 @@ def normalize_row(v):
 def reduce_row(v, rows):
     """The normalized rest of the integer row v after elimination
     against the echelon rows ``rows``."""
-    return normalize_row(eliminate(v, rows, fraction_free))
+    return normalize_row(eliminate(v, rows))
 
 
 def rref(mat):
@@ -88,5 +84,5 @@ def rref(mat):
     # the already reduced rows of larger pivot
     done = {}
     for p in sorted(rows, reverse=True):
-        done[p] = normalize_row(eliminate(rows[p], done, fraction_free))
+        done[p] = normalize_row(eliminate(rows[p], done))
     return {p: done[p] for p in sorted(done)}

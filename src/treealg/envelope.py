@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 
 from treealg.linalg import LinComb, Span, kernel_basis, rat, span_contains
-from treealg.trees import LABEL_RE, LEAF, PBT, catalan, generator_names, pbt_basis
+from treealg.trees import LABEL_RE, catalan, generator_names, pbt_basis
 from treealg.dendriform import (
     DendElement,
     DendSpan,
@@ -128,11 +128,6 @@ class BraceStructure:
     def letters(self):
         return {name: self.weights[i] for i, name in enumerate(self.basis)}
 
-    def letter_combination(self, value: LinComb) -> DendElement:
-        """A combination of basis indices as the same combination of
-        basis letters in the free dendriform algebra."""
-        return DendElement(value.map_keys(lambda i: PBT(LEAF, self.basis[i], LEAF)))
-
     def to_json(self) -> dict:
         prods = []
         for (root, args), value in sorted(self.products.items()):
@@ -156,17 +151,19 @@ class BraceStructure:
 
     @classmethod
     def from_json(cls, data) -> "BraceStructure":
-        """Parse and validate; any malformed input, a missing key or a
-        coefficient that is not an exact rational included, raises
-        BraceError.
+        """Parse and validate; any malformed input, a missing key, a
+        coefficient that is not an exact rational or a product declared
+        twice included, raises BraceError.
         Keys other than dim, basis, products and weights are ignored."""
         try:
             products = {}
             for entry in data.get("products", []):
-                value = LinComb(
+                key = (entry["root"], tuple(entry["args"]))
+                if key in products:
+                    raise BraceError("root %r with args %r is declared twice" % (key[0], list(key[1])))
+                products[key] = LinComb(
                     (item["index"], _exact_coeff(item["coeff"])) for item in entry["value"]
                 )
-                products[(entry["root"], tuple(entry["args"]))] = value
             return cls(data["dim"], data["basis"], products, weights=data.get("weights"))
         except BraceError:
             raise
@@ -272,29 +269,30 @@ def _named(b: BraceStructure, combo: LinComb) -> str:
     return str(combo.map_keys(lambda i: b.basis[i]))
 
 
-def relation_generators(b: BraceStructure, degree_bound: int):
-    """Ideal generators: corolla image minus structure-constant value,
-    for every basis tuple (root, args...) of total weight <= degree_bound
-    (and <= the structure's weight_bound), visited by weighted_tuples in
-    product order, arity by arity, up to the first arity with none.
+def _relations(b: BraceStructure, bound: int):
+    """(tuple, relation) for every basis tuple (root, args...) of arity
+    >= 2 and total weight <= bound (and <= the structure's
+    weight_bound): the corolla image of its letters minus its
+    structure-constant value.  Tuples come from weighted_tuples in
+    product order, arity by arity."""
+    limit = bound if b.weight_bound is None else min(bound, b.weight_bound)
+    letters = [DendElement.generator(name) for name in b.basis]
+    for arity in range(2, bound + 1):
+        for tup in weighted_tuples(b.weights, arity, limit):
+            value = b.brace(tup[0], tup[1:]).terms.items()
+            low = DendElement.sum((letters[i], c) for i, c in value)
+            yield tup, psi_corolla([letters[j] for j in tup]) - low
 
-    Includes arity 2 (identifying x<y - y>x with {x|y}); without it a
-    trivial brace envelope would be the whole free algebra in degree 2.
+
+def relation_generators(b: BraceStructure, degree_bound: int):
+    """The relations of _relations within degree_bound, in its order.
+
+    They include arity 2 (identifying x<y - y>x with {x|y}); without it
+    a trivial brace envelope would be the whole free algebra in degree 2.
     """
     if degree_bound < 2:
         raise BraceError("relation generators need a degree bound >= 2, got %r" % (degree_bound,))
-    limit = degree_bound if b.weight_bound is None else min(degree_bound, b.weight_bound)
-    gens = []
-    letters = [DendElement.generator(name) for name in b.basis]
-    for arity in range(2, degree_bound + 1):
-        found = False
-        for tup in weighted_tuples(b.weights, arity, limit):
-            found = True
-            low = b.letter_combination(b.brace(tup[0], tup[1:]))
-            gens.append(psi_corolla([letters[j] for j in tup]) - low)
-        if not found:
-            break
-    return gens
+    return [rel for _, rel in _relations(b, degree_bound)]
 
 
 def _filtration_dims(span: DendSpan, bound) -> dict:
@@ -448,20 +446,15 @@ def _structure_roundtrip(q: TruncatedQuotient, prim_elems) -> dict:
     the input structure constants, zero ones included, on every tuple
     within the truncation bound, in weighted_tuples order by arity."""
     b = q.brace
-    letters = [DendElement.generator(name) for name in b.basis]
     # primitives must span exactly the lines of the letters within the
     # bound; a heavier letter lies outside the truncation
-    within = [x for x, w in zip(letters, b.weights) if w <= q.bound]
+    within = [DendElement.generator(x) for x, w in zip(b.basis, b.weights) if w <= q.bound]
     letters_in = all(span_contains(prim_elems, q.reduce(x)) for x in within)
     size_match = len(prim_elems) == len(within)
-    limit = q.bound if b.weight_bound is None else min(q.bound, b.weight_bound)
     product_defects = [
         {"root": tup[0], "args": list(tup[1:])}
-        for arity in range(2, q.bound + 1)
-        for tup in weighted_tuples(b.weights, arity, limit)
-        if not q.reduce(
-            psi_corolla([letters[j] for j in tup]) - b.letter_combination(b.brace(tup[0], tup[1:]))
-        ).is_zero()
+        for tup, rel in _relations(b, q.bound)
+        if not q.reduce(rel).is_zero()
     ]
     return {
         "primitive_count_matches_dim": size_match,

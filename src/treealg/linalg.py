@@ -3,13 +3,12 @@
 Every coefficient in the system is an exact ``int`` or
 ``fractions.Fraction``; a ``Fraction`` comes only from a division or
 from parsed input, so integer arithmetic stays on ints.  The rest of the
-package does linear algebra in ``LinComb``s only: a ``Span`` over an
-ordered list of keys, and ``kernel_basis`` of a map given by the
-images of its columns.  These two are the only place where a
-combination becomes a coordinate row.  Rows are sparse: a ``dict``
-from column index to coefficient that stores no zero.  ``reduce``
-eliminates a rational row exactly; everything else clears
-denominators and eliminates integer rows in ``treealg._kernel``.
+package does linear algebra in ``LinComb``s only, through a ``Span``
+over an ordered list of keys and ``kernel_basis``; only these two make
+a combination a coordinate row, a ``dict`` from column index to
+coefficient that stores no zero.  Elimination runs fraction-free on
+integer rows in ``treealg._kernel``.  ``Span.reduce`` eliminates
+nothing: it subtracts rows of the span's kept canonical RREF.
 
 Every sum goes through one accumulation, ``add_into`` (d += c*terms in
 place on dicts of terms): ``combine`` (``+``, ``-``), ``LinComb.sum``,
@@ -27,10 +26,9 @@ of two trees (``dendriform._tree_prec``, ``_tree_succ`` and
 ``LinComb``.
 
 ``EchelonSpan`` (``Span``'s engine), ``to_int_row`` and ``_kernel``
-with its ``BACKEND``, ``reduce_row`` and ``rref`` keep their names
-only because the benchmark's tracer (``perfbench/tracer.py``) wraps
-or reads them by name; folding them into ``Span`` waits for the
-benchmark change of ROADMAP item 1.
+keep their names only because the benchmark's tracer
+(``perfbench/tracer.py``) wraps or reads them by name; folding them
+into ``Span`` waits for the benchmark change of ROADMAP item 1.
 """
 
 from bisect import insort
@@ -202,20 +200,24 @@ def to_int_row(vec) -> dict:
 
 
 class EchelonSpan:
-    """Growing row space in forward echelon form over sparse integer rows.
+    """Growing row space over sparse integer rows.
 
     insert() reduces a row against the current rows and keeps the
     remainder when it is nonzero.  Rows are content-free with positive
     pivots and are stored in a dict keyed by pivot, beside the sorted
-    list of pivots; the canonical reduced form is computed on demand
-    by rref_rows().
+    list of pivots.  ``_rref`` is None or the canonical reduced form: a
+    table pivot -> RREF row, pivot coefficient 1 and 0 at every other
+    pivot.  rref_rows() builds it, reduce_exact() reads it and insert()
+    drops it when the rank grows.  Its row dicts are shared and only
+    read, as with the tree-product caches.
     """
 
-    __slots__ = ("rows", "pivots")
+    __slots__ = ("rows", "pivots", "_rref")
 
     def __init__(self):
         self.rows = {}
         self.pivots = []
+        self._rref = None
 
     @property
     def rank(self):
@@ -237,20 +239,29 @@ class EchelonSpan:
         p = min(w)
         self.rows[p] = w
         insort(self.pivots, p)
+        self._rref = None
         return w
 
     def reduce_exact(self, vec):
         """Exact remainder of a sparse rational row modulo the row space.
 
-        Unlike residual(), no rescaling: this is the Q-linear projection
+        vec - sum of vec[p]*R_p over the pivots p of vec, R_p the RREF
+        row of p: zero at every pivot, it is the Q-linear projection
         onto the complement of the pivot columns.
         """
-        return _kernel.eliminate(vec, self.rows, lambda c, q: (1, Fraction(c, q)))
+        if self._rref is None:
+            self.rref_rows()
+        out = dict(vec)
+        for p in vec.keys() & self._rref.keys():
+            add_into(out, -vec[p], self._rref[p])
+        return out
 
     def rref_rows(self):
         """Canonical basis of the span: RREF rows with pivot 1, by pivot."""
-        rows = _kernel.rref(self.rows[p] for p in self.pivots)
-        return [{k: Fraction(x, r[p]) for k, x in r.items()} for p, r in rows.items()]
+        if self._rref is None:
+            rows = _kernel.rref(self.rows[p] for p in self.pivots)
+            self._rref = {p: {k: Fraction(x, r[p]) for k, x in r.items()} for p, r in rows.items()}
+        return list(self._rref.values())
 
 
 class Span:

@@ -188,6 +188,12 @@ BAD_BRACES = {
     ),
     "coeff-float": _brace(products=[{"root": 0, "args": [0], "value": [{"coeff": 0.1, "index": 0}]}]),
     "coeff-bool": _brace(products=[{"root": 0, "args": [0], "value": [{"coeff": True, "index": 0}]}]),
+    # {a|a} = b, then {a|a} = 0
+    "duplicate-product": _brace(
+        dim=2,
+        basis=["a", "b"],
+        products=[_product(index=1), {"root": 0, "args": [0], "value": []}],
+    ),
 }
 
 BAD_ARGS = [

@@ -137,6 +137,9 @@ def test_envelope_reduction_idempotent_and_kills_generators():
                 assert q.reduce(prod).is_zero()
     e = dstar(DendElement.generator("a"), dsucc(DendElement.generator("b"), A))
     assert q.reduce(q.reduce(e)) == q.reduce(e)
+    # no pivot key and a difference in the span fix the normal form
+    assert not set(q.reduce(e).terms) & set(q.span.span.pivot_keys())
+    assert q.span.contains(e - q.reduce(e))
 
 
 def test_envelope_degree_overflow():

@@ -237,6 +237,9 @@ def test_ideal_closure_examples():
     g1, g2, g3 = (DendElement.generator(str(i)) for i in range(1, 4))
     row = dprec(dsucc(g2, g1), g3) - dsucc(g3, dprec(g1, g2))
     assert ideal_closure({3: [row]}, 4).dims() == {2: 0, 3: 3, 4: 92}
+    # a seed on which every side counts: without F<x and x>F the
+    # arity-3 rank is 18
+    assert ideal_closure({2: [dprec(g2, g1) - dprec(g1, g2)]}, 3).dims() == {2: 1, 3: 20}
 
 
 def test_quotient_dims_full_space():
