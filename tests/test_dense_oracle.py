@@ -273,19 +273,24 @@ def same(a, b):
 @given(st.permutations(KEYS), combo_lists(), st.lists(combos(), max_size=4))
 def test_span_matches_dense_engine(columns, gens, probes):
     sparse, dense = linalg.Span(columns), Span(columns)
-    for g in gens:
-        got, want = sparse.insert(g), dense.insert(g)
-        assert (got is None) == (want is None)
-        assert got is None or same(got, want)
-        assert sparse.rank == dense.rank
-        # after every insert, so that a canonical form kept from an
-        # earlier rank shows
+
+    def check():
         assert sparse.pivot_keys() == dense.pivot_keys()
         got, want = sparse.basis(), dense.basis()
         assert len(got) == len(want) and all(map(same, got, want))
         for p in probes + gens:
             assert sparse.contains(p) == dense.contains(p)
             assert same(sparse.reduce(p), dense.reduce(p))
+
+    # on the empty span, then after every insert, so that a canonical
+    # form kept from an earlier rank shows
+    check()
+    for g in gens:
+        got, want = sparse.insert(g), dense.insert(g)
+        assert (got is None) == (want is None)
+        assert got is None or same(got, want)
+        assert sparse.rank == dense.rank
+        check()
 
 
 @settings(max_examples=100, deadline=None)
