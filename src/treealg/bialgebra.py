@@ -69,7 +69,7 @@ def _delta_tree(t) -> LinComb:
                 star = _unit_star(l1, r1)
             else:
                 star = _tree_star(l1, r1)
-            parts.append(({(u, right): cu for u, cu in star.items()}, a * b))
+            parts.append(({(u, right): 1 for u in star}, a * b))
     return LinComb.sum(parts)
 
 

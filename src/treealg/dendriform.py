@@ -16,17 +16,24 @@ tree products bilinearly and sums any number of products into one
 dict.  ``dprec``, ``dsucc`` and ``dstar`` are its one-part calls.
 
 The products of two non-empty trees, ``_tree_prec``, ``_tree_succ``
-and ``_tree_star``, are cached and return bare dicts of terms (tree ->
-int), not ``LinComb``s.  A cached dict is shared by every later call,
-so its callers (``product_sum``, the recursion itself and
-``bialgebra._delta_tree``) only read it; ``_tree_star`` copies the
-``_tree_prec`` dict before adding into it.
+and ``_tree_star``, are cached and return tuples of distinct trees:
+in the free dendriform algebra (Loday-Ronco) t<s and t>s are sums of
+distinct trees with coefficient 1, and no tree is in both.  By
+induction on deg t + deg s: the terms of t<s are PBT(l, a, u) for the
+terms u of r*s (or u = s when r is empty), and PBT(l, a, .) is
+injective, so distinct u give distinct trees; t>s is the mirror, with
+PBT(., b, r') injective.  The left subtree of a term of t<s is l, of
+degree below deg t; the left subtree of a term of t>s is a term of
+t*s.left (or t itself), of degree at least deg t.  So t<s and t>s
+share no tree, and t*s, the ``_tree_prec`` tuple followed by the
+``_tree_succ`` tuple, again has distinct trees.  The unit rules
+return tuples too.
 """
 
 from functools import lru_cache
 from itertools import permutations
 
-from treealg.linalg import LinComb, Span, _from_terms, add_into
+from treealg.linalg import LinComb, Span, _from_terms
 from treealg.trees import LABEL_RE, LEAF, PBT, PlanarTree, weighted_pbt_basis
 
 
@@ -35,23 +42,20 @@ class UnitProductError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _tree_prec(t: PBT, s: PBT) -> dict:
-    rs = {s: 1} if t.right.is_leaf() else _tree_star(t.right, s)
-    # PBT(l, a, u) is injective in u: no two terms meet
-    return {PBT(t.left, t.label, u): c for u, c in rs.items()}
+def _tree_prec(t: PBT, s: PBT) -> tuple:
+    rs = (s,) if t.right is LEAF else _tree_star(t.right, s)
+    return tuple([PBT(t.left, t.label, u) for u in rs])
 
 
 @lru_cache(maxsize=None)
-def _tree_succ(t: PBT, s: PBT) -> dict:
-    tl = {t: 1} if s.left.is_leaf() else _tree_star(t, s.left)
-    return {PBT(u, s.label, s.right): c for u, c in tl.items()}
+def _tree_succ(t: PBT, s: PBT) -> tuple:
+    tl = (t,) if s.left is LEAF else _tree_star(t, s.left)
+    return tuple([PBT(u, s.label, s.right) for u in tl])
 
 
 @lru_cache(maxsize=None)
-def _tree_star(t: PBT, s: PBT) -> dict:
-    d = dict(_tree_prec(t, s))
-    add_into(d, 1, _tree_succ(t, s))
-    return d
+def _tree_star(t: PBT, s: PBT) -> tuple:
+    return _tree_prec(t, s) + _tree_succ(t, s)
 
 
 class DendElement(LinComb):
@@ -101,19 +105,19 @@ def _unit_prec(t, s):
     """1<s = 0, t<1 = t; 1<1 raises."""
     if t.is_leaf() and s.is_leaf():
         raise UnitProductError("1<1 is undefined")
-    return {t: 1} if s.is_leaf() else {}
+    return (t,) if s.is_leaf() else ()
 
 
 def _unit_succ(t, s):
     """t>1 = 0, 1>s = s; 1>1 raises."""
     if t.is_leaf() and s.is_leaf():
         raise UnitProductError("1>1 is undefined")
-    return {s: 1} if t.is_leaf() else {}
+    return (s,) if t.is_leaf() else ()
 
 
 def _unit_star(t, s):
     """1*s = s, t*1 = t."""
-    return {s if t.is_leaf() else t: 1}
+    return (s if t.is_leaf() else t,)
 
 
 # op -> (product of two non-empty trees, unit rule)
@@ -126,9 +130,12 @@ def product_sum(parts) -> DendElement:
     an int or a Fraction, and a part with c = 0 adds nothing.  Each
     product is the bilinear extension of the tree product; a pair with
     the unit goes to the unit rules, so the tree caches never see LEAF.
-    The cached tree products are bare dicts, which this loop only reads:
-    add_into copies their terms into d and never writes them."""
+    A tree product is a tuple of distinct trees, each with coefficient
+    1, so the pair of terms (t, a), (s, b) adds k = a*b*c to each of
+    its trees; k is nonzero, as a, b and c are, and a key whose sum
+    cancels is deleted."""
     d = {}
+    get = d.get
     for x, op, y, c in parts:
         tree_op, unit_rule = _PRODUCTS[op]
         if not c:
@@ -137,10 +144,13 @@ def product_sum(parts) -> DendElement:
         for t, a in x.terms.items():
             ac = a * c
             for s, b in ys:
-                if t is LEAF or s is LEAF:
-                    add_into(d, ac * b, unit_rule(t, s))
-                else:
-                    add_into(d, ac * b, tree_op(t, s))
+                k = ac * b
+                for u in unit_rule(t, s) if t is LEAF or s is LEAF else tree_op(t, s):
+                    w = get(u, 0) + k
+                    if w:
+                        d[u] = w
+                    else:
+                        del d[u]
     return _from_terms(DendElement, d)
 
 

@@ -10,10 +10,12 @@ coefficient that stores no zero.  Elimination runs fraction-free on
 integer rows in ``treealg._kernel``.  ``Span.reduce`` eliminates
 nothing: it subtracts rows of the span's kept canonical RREF.
 
-Every sum goes through one accumulation, ``add_into`` (d += c*terms in
-place on dicts of terms): ``combine`` (``+``, ``-``), ``LinComb.sum``,
-which builds a whole linear or multilinear extension in one pass, and
-``dendriform.product_sum``, which does the same for sums of products.
+Sums of combinations go through one accumulation, ``add_into`` (d +=
+c*terms in place on dicts of terms): ``combine`` (``+``, ``-``) and
+``LinComb.sum``, which builds a whole linear or multilinear extension
+in one pass.  ``dendriform.product_sum`` does the same for sums of
+products in its own loop, since a product of two trees is a tuple of
+distinct trees, each with coefficient 1, and not a dict of terms.
 
 The package's element types (``DendElement``, ``TensorSquareElement``)
 subclass ``LinComb``.  Arithmetic keeps the class of its left operand,
@@ -21,8 +23,8 @@ equality holds only between combinations of the same class, and a
 subclass prints in its own ``items()`` order through its ``_term``.
 Every public result is a ``LinComb``.  Below that, the cached products
 of two trees (``dendriform._tree_prec``, ``_tree_succ`` and
-``_tree_star``) are bare dicts of terms, which ``product_sum`` and
-``bialgebra._delta_tree`` only read; ``_delta_tree`` itself stays a
+``_tree_star``) are tuples of trees, which ``product_sum`` and
+``bialgebra._delta_tree`` read; ``_delta_tree`` itself stays a
 ``LinComb``.
 
 ``EchelonSpan`` (``Span``'s engine), ``to_int_row`` and ``_kernel``
@@ -50,7 +52,7 @@ def rat(x):
 def add_into(d, c, terms):
     """d += c*terms, in place on dicts of terms, dropping the keys that
     cancel.  c must be nonzero; the callers that can meet c = 0 skip it,
-    so the product loop does not pay for the test."""
+    so the loop does not pay for the test."""
     for k, v in terms.items():
         w = d.get(k)
         if w is None:
@@ -209,7 +211,7 @@ class EchelonSpan:
     table pivot -> RREF row, pivot coefficient 1 and 0 at every other
     pivot.  rref_rows() builds it, reduce_exact() reads it and insert()
     drops it when the rank grows.  Its row dicts are shared and only
-    read, as with the tree-product caches.
+    read.
     """
 
     __slots__ = ("rows", "pivots", "_rref")

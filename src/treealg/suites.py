@@ -1,7 +1,7 @@
 """Named verification suites: each one checks a single statement of the
 theory exhaustively up to a bound and reports every counterexample."""
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
 from math import factorial
 
@@ -431,6 +431,8 @@ def suite_envelope_trivial(bound=4):
         if check["product_defects"]:
             defects.append({"dim": dim, "case": "structure constants"})
         letters = b.basis
+        # the loops below meet each word many times
+        word_class = lru_cache(maxsize=None)(partial(env.envelope_word_class, q))
         # words of total length <= bound: product is shuffle, coproduct is
         # deconcatenation, under the reversed-comb identification
         all_words = {n: _words_of_length(letters, n) for n in range(1, bound)}
@@ -442,12 +444,12 @@ def suite_envelope_trivial(bound=4):
                     for u in all_words[lu]:
                         lhs = q.reduce(
                             dstar(
-                                env.envelope_word_class(q, w.letters),
-                                env.envelope_word_class(q, u.letters),
+                                word_class(w.letters),
+                                word_class(u.letters),
                             )
                         )
                         rhs = DendElement.sum(
-                            (env.envelope_word_class(q, v.letters), c)
+                            (word_class(v.letters), c)
                             for v, c in words.shuffle(w, u).terms.items()
                         )
                         if lhs != q.reduce(rhs):
@@ -456,12 +458,12 @@ def suite_envelope_trivial(bound=4):
                             )
         for length in range(1, bound + 1):
             for w in _words_of_length(letters, length):
-                lhs = q.coproduct(env.envelope_word_class(q, w.letters))
+                lhs = q.coproduct(word_class(w.letters))
                 rhs = TensorSquareElement.sum(
                     (
                         TensorSquareElement.from_product(
-                            env.envelope_word_class(q, pre.letters),
-                            env.envelope_word_class(q, suf.letters),
+                            word_class(pre.letters),
+                            word_class(suf.letters),
                         ),
                         c,
                     )

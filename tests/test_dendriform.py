@@ -17,6 +17,8 @@ from treealg.dendriform import (
     ExprError,
     UnitProductError,
     _tree_prec,
+    _tree_star,
+    _tree_succ,
     _unit_star,
     downcomb,
     dprec,
@@ -79,7 +81,7 @@ def test_wrong_star_alone_is_star_split(monkeypatch, fresh_tree_caches):
 
     def wrong_star(t, s):
         if t is a and s is b:
-            return {**original(t, s), PBT(LEAF, "b", a): 1}
+            return original(t, s) + (PBT(LEAF, "b", a),)
         return original(t, s)
 
     monkeypatch.setattr(dendriform, "_tree_star", wrong_star)
@@ -97,22 +99,16 @@ def test_product_cache_holds_table_nodes():
             assert parse_pbt(str(u)) is u
 
 
-def test_cached_tree_products_are_never_written(fresh_tree_caches):
-    # the caches hand out their dicts, not copies: a caller that writes
-    # into one changes every later product of that pair
+def test_tree_products_are_distinct_trees(fresh_tree_caches):
+    # each tree of a product has coefficient 1: _delta_tree makes a dict
+    # of a product's trees, where a repeated tree would count once
     trees = [t for d in range(1, 4) for t in pbt_basis(d, ["a", "b"])]
-    kept = []
-    for f in fresh_tree_caches:
-        for t, s in product(trees, repeat=2):
-            v = f(t, s)
-            kept.append((f, t, s, v, dict(v)))
-    run_suite("axioms", 4)
-    run_suite("bialgebra", 3)
-    x = DendElement.from_tree(trees[3], -2) + A.scale(Fraction(1, 3))
-    product_sum([(x, "<", x, Fraction(-3, 4)), (x, ">", B, -1), (x, "*", x, Fraction(2, 5))])
-    for f, t, s, v, copy in kept:
-        assert v == copy, (f.__name__, str(t), str(s))
-        assert f(t, s) is v
+    for t, s in product(trees, repeat=2):
+        prec, succ, star = _tree_prec(t, s), _tree_succ(t, s), _tree_star(t, s)
+        for terms in (prec, succ, star):
+            assert type(terms) is tuple and len(set(terms)) == len(terms), (str(t), str(s))
+        assert not set(prec) & set(succ), (str(t), str(s))
+        assert star == prec + succ
 
 
 def test_axiom_instance():
