@@ -13,7 +13,7 @@ import json
 import sys
 
 from treealg.trees import DuplicateLabelError, ParseError, catalan, parse_planar, parse_rooted
-from treealg.dendriform import ExprError, UnitProductError, parse_expr
+from treealg.dendriform import UnitProductError, parse_expr
 from treealg import operads
 from treealg import bialgebra
 from treealg import envelope as env
@@ -131,7 +131,8 @@ def main(argv=None) -> int:
         description="exact computer algebra on tree operads and dendriform bialgebras",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", dest="output_sub", choices=("text", "json"), default=None)
+    # the same option after the verb; a value given there wins
+    common.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
     parser.add_argument("--output", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -184,7 +185,6 @@ def main(argv=None) -> int:
     except (
         ParseError,
         DuplicateLabelError,
-        ExprError,
         UnitProductError,
         env.BraceError,
         SuiteError,
@@ -196,8 +196,6 @@ def main(argv=None) -> int:
         sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
         return 3
 
-    if getattr(args, "output_sub", None):
-        args.output = args.output_sub
     if args.output == "json":
         sys.stdout.write(
             json.dumps(

@@ -28,13 +28,17 @@ t*s.left (or t itself), of degree at least deg t.  So t<s and t>s
 share no tree, and t*s, the ``_tree_prec`` tuple followed by the
 ``_tree_succ`` tuple, again has distinct trees.  The unit rules
 return tuples too.
+
+``parse_expr`` reads product expressions, brace calls {x|y,...} being
+corolla images (``psi_corolla``), on the parser of trees.py, so its
+errors are ParseErrors; ``pbt_expr`` prints a basis tree in it.
 """
 
 from functools import lru_cache
 from itertools import permutations
 
 from treealg.linalg import LinComb, Span, _from_terms
-from treealg.trees import LABEL_RE, LEAF, PBT, PlanarTree, weighted_pbt_basis
+from treealg.trees import LEAF, PBT, ParseError, PlanarTree, _parse_all, weighted_pbt_basis
 
 
 class UnitProductError(ValueError):
@@ -191,19 +195,19 @@ def downcomb(xs) -> DendElement:
     return out
 
 
-def psi_corolla(args, sign_offset=1) -> DendElement:
+def psi_corolla(args) -> DendElement:
     """Image of the n-leaf corolla evaluated on n+1 elements.
 
-    sum over i of (-1)^(i+sign_offset) up(x2..xi) > x1 < down(x(i+1)..),
-    the two comb factors being 1 at the ends.  sign_offset=1 is the
-    convention validated by the relation-defect oracle; sign_offset=0 is
-    kept only so the oracle can reject it.
+    sum over i of (-1)^(i+1) up(x2..xi) > x1 < down(x(i+1)..), the two
+    comb factors being 1 at the ends.  The relation-defect oracle of
+    the psi-morphism suite validates this sign: the negative fails both
+    the arity-2 target x1<x2 - x2>x1 and the brace relations.
     """
     n1 = len(args)
     if n1 < 2:
         raise ValueError("a corolla image needs at least 2 arguments, got %d" % n1)
     return product_sum(
-        (dsucc(upcomb(args[1:i]), args[0]), "<", downcomb(args[i:]), (-1) ** (i + sign_offset))
+        (dsucc(upcomb(args[1:i]), args[0]), "<", downcomb(args[i:]), (-1) ** (i + 1))
         for i in range(1, n1 + 1)
     )
 
@@ -425,106 +429,51 @@ def _pbt_expr(t):
     return "%s>%s<%s" % (wrap(left), t.label, wrap(right)), False
 
 
-class ExprError(ValueError):
-    pass
+_APPLY = {"<": dprec, ">": dsucc, "*": dstar}
 
 
-_EXPR_TOKENS = ("<", ">", "*", "(", ")", "{", "}", "|", ",")
-
-
-def _expr_tokenize(text):
-    out = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _EXPR_TOKENS:
-            out.append((ch, pos))
-            pos += 1
-            continue
-        m = LABEL_RE.match(text, pos)
-        if not m:
-            raise ExprError("unexpected character %r at position %d" % (ch, pos))
-        out.append((m.group(0), pos))
-        pos += len(m.group(0))
+def _expr(p):
+    """expr := atom (op atom)*; one product per chain, except x>y<z."""
+    items, ops = [_atom(p)], []
+    while p.peek() in _APPLY:
+        op, pos = p.next()
+        ops.append(op)
+        if len(set(ops)) > 1 and ops != [">", "<"]:
+            raise ParseError("mixed products need parentheses (only x>y<z may omit them)", pos)
+        items.append(_atom(p))
+    if ops == [">", "<"]:
+        return dsucc(items[0], dprec(items[1], items[2]))
+    out = items[0]
+    for op, x in zip(ops, items[1:]):
+        out = _APPLY[op](out, x)
     return out
 
 
-class _ExprParser:
-    """expr := atom (op atom)*; one product per chain, except x>y<z."""
-
-    def __init__(self, text):
-        self.tokens = _expr_tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def next(self):
-        if self.i >= len(self.tokens):
-            raise ExprError("unexpected end of expression")
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok[0]
-
-    def expect(self, what):
-        tok = self.next()
-        if tok != what:
-            raise ExprError("expected %r, found %r" % (what, tok))
-
-    def atom(self):
-        tok = self.next()
-        if tok == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        if tok == "{":
-            args = [self.expr()]
-            self.expect("|")
-            args.append(self.expr())
-            while self.peek() == ",":
-                self.next()
-                args.append(self.expr())
-            self.expect("}")
-            return psi_corolla(args)
-        if tok in _EXPR_TOKENS:
-            raise ExprError("unexpected %r" % tok)
-        if tok == "1":
-            return DEND_ONE
-        return DendElement.generator(tok)
-
-    def expr(self):
-        items = [self.atom()]
-        ops = []
-        while self.peek() in ("<", ">", "*"):
-            ops.append(self.next())
-            items.append(self.atom())
-        if not ops:
-            return items[0]
-        apply = {"<": dprec, ">": dsucc, "*": dstar}
-        if len(set(ops)) == 1:
-            out = items[0]
-            for op, x in zip(ops, items[1:]):
-                out = apply[op](out, x)
-            return out
-        if ops == [">", "<"]:
-            return dsucc(items[0], dprec(items[1], items[2]))
-        raise ExprError(
-            "mixed products need parentheses (only x>y<z may omit them)"
-        )
+def _atom(p):
+    """atom := "1" | label | "(" expr ")" | "{" expr "|" expr ("," expr)* "}"."""
+    tok = p.peek()
+    if tok == "(":
+        p.next()
+        e = _expr(p)
+        p.expect(")")
+        return e
+    if tok == "{":
+        p.next()
+        args = [_expr(p)]
+        p.expect("|")
+        args.append(_expr(p))
+        while p.peek() == ",":
+            p.next()
+            args.append(_expr(p))
+        p.expect("}")
+        return psi_corolla(args)
+    label = p.label()
+    return DEND_ONE if label == "1" else DendElement.generator(label)
 
 
 def parse_expr(text) -> DendElement:
     """Parse the algebra expression grammar: generators, '1', products
-    <, >, *, brace calls {x|y,...} and parentheses."""
-    p = _ExprParser(text)
-    try:
-        e = p.expr()
-    except RecursionError:
-        # too deep for the interpreter's recursion limit: bad input
-        raise ExprError("expression nested too deeply") from None
-    if p.i != len(p.tokens):
-        raise ExprError("trailing input %r" % p.tokens[p.i][0])
-    return e
+    <, >, *, brace calls {x|y,...} and parentheses.  It shares the
+    tokenizer and parser of trees.py, so a bad expression raises
+    ParseError with the position of the offending token."""
+    return _parse_all(text, _expr)

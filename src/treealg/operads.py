@@ -1,7 +1,11 @@
 """Operad composition on planar and non-planar rooted trees, the
 symmetrization of non-planar trees into sums of planar ones, the brace
 relation for any brace operation, and per-arity ideal closures inside
-the multilinear part of the free dendriform algebra."""
+the multilinear part of the free dendriform algebra.
+
+Compositions name the grafted vertex by its label: the partial
+composition T o_i S of trees on labels 1..p is compose_ape(T, str(i), S)
+with S on labels disjoint from T's, such as p+1..p+q."""
 
 import math
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -11,22 +15,14 @@ from treealg.trees import LEAF, PlanarTree, RootedTree, angles, pbt_shapes
 from treealg.dendriform import DendElement, dprec, dsucc, positive_body, substitute
 
 
-def corolla(n: int) -> PlanarTree:
-    """The n-leaf corolla: root '1' with leaf children '2'..'n+1'."""
-    if n < 0:
-        raise ValueError("corolla size must be >= 0, got %r" % (n,))
-    return PlanarTree("1", [PlanarTree(str(i)) for i in range(2, n + 2)])
-
-
 def corolla_tree(root, leaves) -> PlanarTree:
+    """The corolla with the given root label and leaf labels, in order."""
     return PlanarTree(root, [PlanarTree(a) for a in leaves])
 
 
 def _as_combo(x) -> LinComb:
     if isinstance(x, (PlanarTree, RootedTree)):
         return LinComb.single(x)
-    if isinstance(x, OperadElement):
-        return x.combo
     return x
 
 
@@ -126,49 +122,6 @@ def phi(x) -> LinComb:
     """Symmetrization: a non-planar tree maps to the sum of all planar
     trees isomorphic to it (all child orderings, distinct by labels)."""
     return _multilinear(_phi_tree, x)
-
-
-class OperadElement:
-    """Arity-indexed element: a combination of trees labeled 1..arity."""
-
-    __slots__ = ("species", "arity", "combo")
-
-    def __init__(self, species, arity, combo):
-        if species not in ("planar", "nonplanar"):
-            raise ValueError("unknown operad species %r" % (species,))
-        self.species = species
-        self.arity = arity
-        self.combo = combo if isinstance(combo, LinComb) else LinComb.single(combo)
-        want = {str(i) for i in range(1, arity + 1)}
-        for t in self.combo.terms:
-            if set(t.labels()) != want or len(t.labels()) != arity:
-                raise ValueError("labels of %s are not 1..%d" % (t, arity))
-
-    def circ(self, i, other) -> "OperadElement":
-        """Partial composition at slot i with 1..n renumbering."""
-        if not 1 <= i <= self.arity:
-            raise ValueError("slot %r outside 1..%d" % (i, self.arity))
-        if other.species != self.species:
-            raise ValueError("cannot compose %s into %s" % (other.species, self.species))
-        k = other.arity
-        outer_map = {str(j): str(j + k - 1) for j in range(i + 1, self.arity + 1)}
-        outer_map[str(i)] = "@"
-        inner_map = {str(j): str(j + i - 1) for j in range(1, k + 1)}
-        outer = self.combo.map_keys(lambda t: t.relabel(outer_map))
-        inner = other.combo.map_keys(lambda t: t.relabel(inner_map))
-        compose = compose_ape if self.species == "planar" else compose_prelie
-        return OperadElement(self.species, self.arity + k - 1, compose(outer, "@", inner))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OperadElement)
-            and self.species == other.species
-            and self.arity == other.arity
-            and self.combo == other.combo
-        )
-
-    def __str__(self):
-        return str(self.combo)
 
 
 def interval_partitions(items, k):

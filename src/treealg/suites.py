@@ -20,7 +20,6 @@ from treealg.dendriform import (
     psi_eval,
     upcomb,
 )
-from treealg import operads
 from treealg.operads import (
     brace_relation,
     brace_relation_defect,
@@ -151,15 +150,16 @@ def suite_brace_relations(bound=4):
     return {"cases": cases}, defects
 
 
-def _dend_relation_defect(n, m, sign_offset):
-    """Left minus right side of brace_relation for the corolla images
-    psi_corolla as the brace, on distinct generators of the free
-    dendriform algebra."""
+def _dend_relation_defect(n, m, convention):
+    """Left minus right side of brace_relation on distinct generators of
+    the free dendriform algebra, with the corolla image psi_corolla as
+    the brace under sign convention 1, and its negative under 0."""
+    sign = 1 if convention else -1
     gen = DendElement.generator
     xs = [gen("x%d" % i) for i in range(1, n + 1)]
     ys = [gen("y%d" % i) for i in range(1, m + 1)]
     lhs, rhs = brace_relation(
-        lambda r, args: psi_corolla([r] + args, sign_offset) if args else r, gen("z"), xs, ys
+        lambda r, args: psi_corolla([r] + args).scale(sign) if args else r, gen("z"), xs, ys
     )
     return lhs - rhs
 
@@ -167,19 +167,20 @@ def _dend_relation_defect(n, m, sign_offset):
 def suite_psi_morphism(bound=4):
     """The corolla images satisfy the brace relations in the free
     dendriform algebra, the evaluation commutes with composition, and
-    the sign convention is pinned down by both requirements."""
+    the sign convention is pinned down by both requirements: psi_corolla
+    (convention 1) meets both, its negative (convention 0) neither."""
     defects = []
     x, y = DendElement.generator("x"), DendElement.generator("y")
     target = dprec(x, y) - dsucc(y, x)
     sign_report = {}
-    for offset in (1, 0):
-        matches = psi_corolla([x, y], offset) == target
+    for convention in (1, 0):
+        matches = psi_corolla([x, y]).scale(1 if convention else -1) == target
         kills = all(
-            _dend_relation_defect(n, m, offset).is_zero()
+            _dend_relation_defect(n, m, convention).is_zero()
             for n in range(1, bound)
             for m in range(1, bound + 1 - n)
         )
-        sign_report[offset] = {"matches_arity2": matches, "kills_relations": kills}
+        sign_report[convention] = {"matches_arity2": matches, "kills_relations": kills}
     if not (sign_report[1]["matches_arity2"] and sign_report[1]["kills_relations"]):
         defects.append({"sign": "+1 convention failed"})
     if sign_report[0]["matches_arity2"] or sign_report[0]["kills_relations"]:
@@ -187,35 +188,17 @@ def suite_psi_morphism(bound=4):
 
     comp_checks = 0
     for p in range(1, bound):
-        for q in range(1, bound + 1):
-            n = p + q - 1
-            if n > bound:
-                continue
-            outer_trees = planar_trees([str(i) for i in range(1, p + 1)])
-            inner_trees = planar_trees([str(i) for i in range(1, q + 1)])
-            arglist = [DendElement.generator(str(i)) for i in range(1, n + 1)]
-            for T in outer_trees:
-                eT = operads.OperadElement("planar", p, LinComb.single(T))
-                for S in inner_trees:
-                    eS = operads.OperadElement("planar", q, LinComb.single(S))
+        for q in range(1, bound + 2 - p):
+            gens = [DendElement.generator(str(i)) for i in range(1, p + q + 1)]
+            for T in planar_trees([str(i) for i in range(1, p + 1)]):
+                for S in planar_trees([str(i) for i in range(p + 1, p + q + 1)]):
+                    inner = psi_eval(S, gens)
                     for i in range(1, p + 1):
                         comp_checks += 1
-                        lhs = psi_eval(eT.circ(i, eS).combo, arglist)
-                        sub_args = []
-                        for j in range(1, p + 1):
-                            if j < i:
-                                sub_args.append(arglist[j - 1])
-                            elif j == i:
-                                sub_args.append(
-                                    psi_eval(S, arglist[i - 1 : i + q - 1])
-                                )
-                            else:
-                                sub_args.append(arglist[j + q - 2])
-                        rhs = psi_eval(T, sub_args)
+                        lhs = psi_eval(compose_ape(T, str(i), S), gens)
+                        rhs = psi_eval(T, gens[: i - 1] + [inner] + gens[i:p])
                         if lhs != rhs:
-                            defects.append(
-                                {"outer": str(T), "inner": str(S), "slot": i}
-                            )
+                            defects.append({"outer": str(T), "inner": str(S), "slot": i})
     return {"sign_oracle": {str(k): v for k, v in sign_report.items()}, "compositions": comp_checks}, defects
 
 

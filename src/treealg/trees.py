@@ -8,6 +8,9 @@ Grammar (whitespace insignificant)::
     label := [A-Za-z0-9_]+
     decorated binary:     pbt := "*" | "(" pbt label pbt ")"
 
+The tokenizer and parser also serve the expression grammar of
+dendriform.parse_expr, through _parse_all.
+
 The two labeled-tree species share one class body and differ only in
 child order: planar trees keep it, non-planar trees store children
 sorted by their printed form (lexicographic byte order), so printing is
@@ -251,7 +254,7 @@ def angles(t: PlanarTree):
     return out
 
 
-_TOKEN_RE = re.compile(r"\s*(%s|[(),*])" % LABEL_RE.pattern)
+_TOKEN_RE = re.compile(r"\s*(%s|[(),*<>{}|])" % LABEL_RE.pattern)
 
 
 def _tokenize(text):
@@ -301,7 +304,7 @@ class _Parser:
             raise ParseError("trailing input %r" % tok, pos)
 
 
-def _parse_node(p: _Parser, cls):
+def _parse_node(p, cls):
     label = p.label()
     children = []
     if p.peek() == "(":
@@ -323,8 +326,9 @@ def _check_distinct(t):
 
 
 def _parse_all(text, parse):
-    """Run parse over all of text; nesting too deep for the interpreter's
-    recursion limit is a parse error, not a crash."""
+    """Run parse, a function of the parser, over all of text; every
+    text grammar of the package goes through here.  Nesting too deep for
+    the interpreter's recursion limit is a parse error, not a crash."""
     p = _Parser(text)
     try:
         t = parse(p)
@@ -346,7 +350,7 @@ def parse_rooted(text) -> RootedTree:
     return t
 
 
-def _parse_pbt(p: _Parser):
+def _parse_pbt(p):
     tok = p.peek()
     if tok == "*":
         p.next()

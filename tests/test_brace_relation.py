@@ -58,6 +58,12 @@ def old_brace_relation_defect(n: int, m: int) -> LinComb:
     return lhs - LinComb.sum(terms)
 
 
+def old_psi_corolla(args, sign_offset):
+    """psi_corolla with the sign knob it had: offset 1 is psi_corolla,
+    offset 0 its negative."""
+    return psi_corolla(args) if sign_offset else -psi_corolla(args)
+
+
 def old_dend_relation_defect(n, m, sign_offset):
     """Both sides of the corolla relation evaluated inside the free
     dendriform algebra on distinct generators."""
@@ -66,8 +72,8 @@ def old_dend_relation_defect(n, m, sign_offset):
     ys = ["y%d" % i for i in range(1, m + 1)]
     for name in ["z"] + xs + ys:
         gens[name] = DendElement.generator(name)
-    inner = psi_corolla([gens["z"]] + [gens[x] for x in xs], sign_offset)
-    lhs = psi_corolla([inner] + [gens[y] for y in ys], sign_offset)
+    inner = old_psi_corolla([gens["z"]] + [gens[x] for x in xs], sign_offset)
+    lhs = old_psi_corolla([inner] + [gens[y] for y in ys], sign_offset)
     terms = []
     for blocks in interval_partitions(ys, 2 * n + 1):
         args = []
@@ -75,10 +81,10 @@ def old_dend_relation_defect(n, m, sign_offset):
             args.extend(gens[y] for y in blocks[2 * i])
             xe = gens[xs[i]]
             if blocks[2 * i + 1]:
-                xe = psi_corolla([xe] + [gens[y] for y in blocks[2 * i + 1]], sign_offset)
+                xe = old_psi_corolla([xe] + [gens[y] for y in blocks[2 * i + 1]], sign_offset)
             args.append(xe)
         args.extend(gens[y] for y in blocks[2 * n])
-        terms.append((psi_corolla([gens["z"]] + args, sign_offset), 1))
+        terms.append((old_psi_corolla([gens["z"]] + args, sign_offset), 1))
     return lhs - DendElement.sum(terms)
 
 

@@ -106,6 +106,10 @@ def test_output_flag_after_subcommand():
     code, out, _ = run_cli(["eval", "--expr", "1", "--output", "json"])
     assert code == 0
     assert json.loads(out)["result"]["value"] == "1"
+    # given on both sides of the verb, the later value wins
+    code, out, _ = run_cli(["--output", "json", "eval", "--expr", "1", "--output", "text"])
+    assert code == 0
+    assert out == "value: 1\n0 defects\n"
 
 
 def test_envelope_command(tmp_path):

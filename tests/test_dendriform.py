@@ -10,11 +10,10 @@ import pytest
 from treealg import dendriform
 from treealg.operads import ClosureResult
 from treealg.suites import run_suite
-from treealg.trees import LEAF, PBT, parse_pbt, parse_planar, pbt_basis
+from treealg.trees import LEAF, PBT, ParseError, parse_pbt, parse_planar, pbt_basis
 from treealg.dendriform import (
     DEND_ONE,
     DendElement,
-    ExprError,
     UnitProductError,
     _tree_prec,
     _tree_star,
@@ -174,8 +173,8 @@ def test_psi_path_decomposes_into_corollas():
 
 def test_psi_sign_oracle():
     target = dprec(A, B) - dsucc(B, A)
-    assert psi_corolla([A, B], sign_offset=1) == target
-    assert psi_corolla([A, B], sign_offset=0) == target.scale(-1)
+    assert psi_corolla([A, B]) == target
+    assert -psi_corolla([A, B]) == target.scale(-1)
 
 
 def test_s_closure_examples():
@@ -294,8 +293,16 @@ def test_parse_expr_grammar():
 
 def test_parse_expr_rejects_mixed_chains():
     for bad in ("a<b>c", "a*b<c", "a>b>c<d", "a<"):
-        with pytest.raises(ExprError):
+        with pytest.raises(ParseError):
             parse_expr(bad)
+
+
+@pytest.mark.parametrize("text, pos", [("a<b>c", 3), ("a<", 2), ("a)", 1), ("{a}", 2)])
+def test_parse_expr_error_positions(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert err.value.pos == pos
+    assert str(err.value).endswith("(at position %d)" % pos)
 
 
 def test_element_str_examples():

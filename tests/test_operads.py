@@ -7,12 +7,10 @@ from treealg.linalg import LinComb, Span
 from treealg.trees import catalan, parse_planar, parse_rooted, planar_trees, rooted_trees
 from treealg.dendriform import DendElement, dprec, dsucc, psi_eval
 from treealg.operads import (
-    OperadElement,
     _graft,
     brace_relation_defect,
     compose_ape,
     compose_prelie,
-    corolla,
     corolla_tree,
     ideal_closure,
     interval_partitions,
@@ -164,14 +162,6 @@ def test_prelie_nested_and_parallel_associativity():
                 )
 
 
-def test_operad_element_circ_relabels():
-    f = OperadElement("planar", 2, LinComb.single(parse_planar("1(2)")))
-    g = OperadElement("planar", 2, LinComb.single(parse_planar("1(2)")))
-    out = f.circ(1, g)
-    assert out.arity == 3
-    assert {str(t) for t in out.combo.terms} == {"1(3,2)", "1(2,3)", "1(2(3))"}
-
-
 def test_phi_examples():
     assert phi(parse_rooted("1(2(3))")) == LinComb.single(parse_planar("1(2(3))"))
     cherry = phi(parse_rooted("1(2,3)"))
@@ -293,5 +283,5 @@ def test_left_ideal_of_full_image_is_two_sided():
 
 
 def test_corolla_shape():
-    c = corolla(3)
+    c = corolla_tree("1", ["2", "3", "4"])
     assert str(c) == "1(2,3,4)"

@@ -1,8 +1,8 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked,
 every name the benchmark's tracer wraps or reads still exists, no
 argument check in the library is an assert, which python -O strips,
-no loop in the library rebuilds a sum term by term, and one function
-expands the brace relation."""
+no loop in the library rebuilds a sum term by term, one function
+expands the brace relation and one parser reads every text grammar."""
 
 import ast
 import importlib
@@ -121,17 +121,27 @@ def test_one_brace_relation_expansion():
     assert found == {("operads.py", "brace_relation")}
 
 
+def test_one_parser():
+    # every text grammar (trees, binary trees, algebra expressions) runs
+    # on the one tokenizer and parser, through trees._parse_all
+    found = {
+        (path.name, owner)
+        for path in sorted((ROOT / "src" / "treealg").glob("*.py"))
+        for owner in _references(ast.parse(path.read_text(), str(path)), "_Parser")
+    }
+    assert found == {("trees.py", "_parse_all")}
+
+
 OPTIMIZED_CHECKS = """
 from treealg.bialgebra import compat_defect, primitives, reduced_coproduct
 from treealg.dendriform import DendElement, pli, psi_corolla
-from treealg.operads import OperadElement, brace_relation_defect, corolla
+from treealg.operads import brace_relation_defect
 from treealg.trees import (
-    DuplicateLabelError, parse_planar, pbt_basis, pbt_shapes, planar_shapes, planar_trees,
+    DuplicateLabelError, pbt_basis, pbt_shapes, planar_shapes, planar_trees,
 )
 assert False, "this runner must run under python -O"
 
 a = DendElement.generator("a")
-one = OperadElement("planar", 1, parse_planar("1"))
 calls = {
     "primitives(0, 1)": (lambda: primitives(0, 1), ValueError),
     "compat_defect side": (lambda: compat_defect(a, a, "?"), ValueError),
@@ -139,11 +149,6 @@ calls = {
     "psi_corolla([a])": (lambda: psi_corolla([a]), ValueError),
     "reduced_coproduct(1 + a)": (lambda: reduced_coproduct(DendElement.one() + a), ValueError),
     "pli(0, 1)": (lambda: pli(0, 1), ValueError),
-    "corolla(-1)": (lambda: corolla(-1), ValueError),
-    "OperadElement species": (lambda: OperadElement("tree", 1, parse_planar("1")), ValueError),
-    "OperadElement labels": (lambda: OperadElement("planar", 2, parse_planar("1(3)")), ValueError),
-    "circ slot": (lambda: one.circ(2, one), ValueError),
-    "circ species": (lambda: one.circ(1, OperadElement("nonplanar", 1, one.combo)), ValueError),
     "brace_relation_defect(0, 1)": (lambda: brace_relation_defect(0, 1), ValueError),
     "planar_shapes(0)": (lambda: planar_shapes(0), ValueError),
     "planar_trees duplicate": (lambda: planar_trees(["1", "1"]), DuplicateLabelError),

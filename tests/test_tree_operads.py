@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 
 from treealg.linalg import LinComb
-from treealg.operads import OperadElement, _as_combo, compose_ape, compose_prelie, phi
+from treealg.operads import _as_combo, compose_ape, compose_prelie, phi
 from treealg.trees import (
     PlanarTree,
     RootedTree,
@@ -226,19 +226,6 @@ def test_compositions_match_old_code_on_combinations_and_errors(parse, new, old)
         with pytest.raises((KeyError, ValueError)) as want:
             old(*args)
         assert (got.type, str(got.value)) == (want.type, str(want.value))
-
-
-def test_operad_element_circ_matches_old_composition():
-    for species, trees_on, old in (
-        ("planar", planar_trees, old_compose_ape),
-        ("nonplanar", rooted_trees, old_compose_prelie),
-    ):
-        for t in trees_on(labels(1, 3)):
-            for s in trees_on(labels(1, 2)):
-                got = OperadElement(species, 3, t).circ(2, OperadElement(species, 2, s))
-                outer = t.relabel({"2": "@", "3": "4"})
-                inner = s.relabel({"1": "2", "2": "3"})
-                assert same(got.combo, old(outer, "@", inner))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
