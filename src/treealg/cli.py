@@ -88,11 +88,8 @@ def cmd_envelope(args):
     defects = env.validate_brace(b, args.bound + 1)
     if defects:
         return {"valid": False}, defects
-    q = env.build_envelope(b, args.bound, slack=args.slack)
-    report = q.report()
-    report["valid"] = True
-    bad = [] if q.stable else [{"case": "unstable truncation", "dims_next": q.dims_next}]
-    return report, bad
+    report, defects = env.build_envelope(b, args.bound, slack=args.slack).report()
+    return report | {"valid": True}, defects
 
 
 def _int_at_least(low):

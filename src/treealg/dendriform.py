@@ -42,7 +42,8 @@ from treealg.trees import LEAF, PBT, ParseError, PlanarTree, _parse_all, weighte
 
 
 class UnitProductError(ValueError):
-    """Raised for 1<1 and 1>1."""
+    """Raised for 1<1 and 1>1, and for an unparenthesized x>y<z in
+    which one of the two groupings would form one of them."""
 
 
 @lru_cache(maxsize=None)
@@ -404,7 +405,9 @@ def pbt_expr(t) -> str:
     """Minimal product expression of a basis tree, e.g. 'a<a', '(a<a)>b'.
 
     Round-trips through parse_expr; the only unparenthesized mixed form
-    is x>v<y, which is association-free.
+    is x>v<y, which is association-free: (x>v)<y = x>(v<y), and
+    parse_expr refuses the chain when a unit part in v and in x or y
+    makes one grouping undefined.
     """
     s, _ = _pbt_expr(t)
     return s
@@ -442,7 +445,11 @@ def _expr(p):
             raise ParseError("mixed products need parentheses (only x>y<z may omit them)", pos)
         items.append(_atom(p))
     if ops == [">", "<"]:
-        return dsucc(items[0], dprec(items[1], items[2]))
+        x, y, z = items
+        # (x>y)<z = x>(y<z) unless one grouping forms 1>1 or 1<1
+        if y.unit and (x.unit or z.unit):
+            raise UnitProductError("x>y<z with a unit part in y and in x or z needs parentheses")
+        return dsucc(x, dprec(y, z))
     out = items[0]
     for op, x in zip(ops, items[1:]):
         out = _APPLY[op](out, x)

@@ -16,7 +16,7 @@ import math
 from functools import lru_cache
 from itertools import product
 
-from treealg.linalg import LinComb, Span, kernel_basis, rat, span_contains
+from treealg.linalg import LinComb, Span, kernel_basis, rat
 from treealg.trees import LABEL_RE, catalan, generator_names, pbt_basis
 from treealg.dendriform import (
     DendElement,
@@ -230,14 +230,26 @@ def weighted_tuples(weights, length, bound):
 
 
 def validate_brace(b: BraceStructure, arity_bound: int):
-    """Check operads.brace_relation for brace_multi on all basis tuples
-    (z, x1..xn, y1..ym) with n+m+1 <= arity_bound; returns the list of
-    defects (empty = valid).
+    """Check that the weights filter the braces, and operads.brace_relation
+    for brace_multi on all basis tuples (z, x1..xn, y1..ym) with
+    n+m+1 <= arity_bound; returns the list of defects (empty = valid).
 
-    Tuples whose total weight exceeds a declared weight_bound are
-    outside the structure's authority and are not visited.
+    A product whose value holds a letter heavier than its tuple is a
+    "value heavier than its tuple" defect.  Tuples whose total weight
+    exceeds a declared weight_bound are outside the structure's
+    authority and are not visited.
     """
-    defects = []
+    defects = [
+        {
+            "case": "value heavier than its tuple",
+            "root": root,
+            "args": list(args),
+            "weight": b.tuple_weight(root, args),
+            "value": _named(b, value),
+        }
+        for (root, args), value in sorted(b.products.items())
+        if max(b.weights[i] for i in value.terms) > b.tuple_weight(root, args)
+    ]
     single = LinComb.single
     limit = math.inf if b.weight_bound is None else b.weight_bound
     for n in range(1, arity_bound):
@@ -366,9 +378,13 @@ class TruncatedQuotient:
                 defects.append(str(row))
         return defects
 
-    def report(self) -> dict:
+    def report(self):
+        """(report, defects): the defects of envelope_primitives, then
+        an {"case": "unstable truncation", "dims_next"} entry if any."""
         dims = self.dims()
-        prim_elems, prim_dims, _ = envelope_primitives(self)
+        prim_elems, prim_dims, defects = envelope_primitives(self)
+        if not self.stable:
+            defects.append({"case": "unstable truncation", "dims_next": self.dims_next})
         return {
             "dims": [dims[d] for d in sorted(dims)],
             "stable": self.stable,
@@ -376,7 +392,7 @@ class TruncatedQuotient:
             "primitive_basis": [str(p) for p in prim_elems],
             "primitive_dims": {str(k): v for k, v in sorted(prim_dims.items())},
             "notes": self.notes,
-        }
+        }, defects
 
 
 def build_envelope(b: BraceStructure, bound: int, slack: int = 1) -> TruncatedQuotient:
@@ -390,7 +406,7 @@ def build_envelope(b: BraceStructure, bound: int, slack: int = 1) -> TruncatedQu
     only, stable is True and dims_next is None.  Otherwise the ideal is
     also saturated inside degrees <= bound+slack+1; dims_next holds that
     run's dims(), and stable says whether it agrees with dims().  An
-    unstable truncation marks the report untrusted.
+    unstable truncation is a defect of report().
 
     b is not checked against the brace relations; callers that need it
     run validate_brace first, as the envelope CLI verb does.
@@ -420,11 +436,15 @@ def build_envelope(b: BraceStructure, bound: int, slack: int = 1) -> TruncatedQu
 
 
 def envelope_primitives(q: TruncatedQuotient):
-    """Kernel of the reduced quotient coproduct on the class basis.
+    """Kernel of the reduced quotient coproduct on the class basis, and
+    the check of Prim U(B) = B up to the bound.
 
-    Returns (primitive elements, dims by top degree, structure check),
-    where the structure check replays every declared brace product on
-    the primitive classes and compares with the structure constants.
+    Returns (primitive elements, dims by top degree, defects): one
+    {"case": "primitives", "count", "letters"} entry unless the
+    primitives span exactly the lines of the letters of weight <= the
+    bound, then one {"case": "structure constants", "root", "args"}
+    entry per relation tuple within the bound (zero constants included,
+    in _relations order) that does not reduce to 0.
     """
     classes = [t for _, trees in sorted(q.quotient_trees().items()) for t in trees]
     images = [
@@ -437,30 +457,22 @@ def envelope_primitives(q: TruncatedQuotient):
     dims = {}
     for e in elems:
         dims[q.span.top_wdeg(e)] = dims.get(q.span.top_wdeg(e), 0) + 1
-    check = _structure_roundtrip(q, elems)
-    return elems, dims, check
-
-
-def _structure_roundtrip(q: TruncatedQuotient, prim_elems) -> dict:
-    """Recompute brace products on the letter classes and compare with
-    the input structure constants, zero ones included, on every tuple
-    within the truncation bound, in weighted_tuples order by arity."""
     b = q.brace
-    # primitives must span exactly the lines of the letters within the
-    # bound; a heavier letter lies outside the truncation
-    within = [DendElement.generator(x) for x, w in zip(b.basis, b.weights) if w <= q.bound]
-    letters_in = all(span_contains(prim_elems, q.reduce(x)) for x in within)
-    size_match = len(prim_elems) == len(within)
-    product_defects = [
-        {"root": tup[0], "args": list(tup[1:])}
+    # a letter reduces along rows pivoted at its own degree, which the
+    # column order keeps in degrees <= its weight: onto the class trees
+    span = Span(classes)
+    for e in elems:
+        span.insert(e)
+    letters = [DendElement.generator(x) for x, w in zip(b.basis, b.weights) if w <= q.bound]
+    defects = []
+    if len(elems) != len(letters) or not all(span.contains(q.reduce(x)) for x in letters):
+        defects.append({"case": "primitives", "count": len(elems), "letters": len(letters)})
+    defects += [
+        {"case": "structure constants", "root": tup[0], "args": list(tup[1:])}
         for tup, rel in _relations(b, q.bound)
         if not q.reduce(rel).is_zero()
     ]
-    return {
-        "primitive_count_matches_dim": size_match,
-        "letters_primitive": letters_in,
-        "product_defects": product_defects,
-    }
+    return elems, dims, defects
 
 
 def harvest_brace(n_gens: int, max_degree: int):

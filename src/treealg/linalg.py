@@ -329,11 +329,3 @@ def kernel_basis(columns, images):
                 out[k][p] = Fraction(-x, r[p])
     return [LinComb((columns[i], v[i]) for i in sorted(v)) for v in out.values()]
 
-
-def span_contains(generators, candidate: LinComb) -> bool:
-    """Is candidate in the rational span of the generators?"""
-    generators = list(generators)
-    span = Span(dict.fromkeys(k for c in generators + [candidate] for k in c.terms))
-    for g in generators:
-        span.insert(g)
-    return span.contains(candidate)

@@ -408,11 +408,7 @@ def suite_envelope_trivial(bound=4):
         for d in range(bound + 1):
             if dims[d] != dim**d:
                 defects.append({"dim": dim, "degree": d, "got": dims[d]})
-        elems, pdims, check = env.envelope_primitives(q)
-        if len(elems) != dim or not check["letters_primitive"]:
-            defects.append({"dim": dim, "case": "primitives"})
-        if check["product_defects"]:
-            defects.append({"dim": dim, "case": "structure constants"})
+        defects += [{"dim": dim} | d for d in q.report()[1]]
         letters = b.basis
         # the loops below meet each word many times
         word_class = lru_cache(maxsize=None)(partial(env.envelope_word_class, q))
@@ -480,13 +476,7 @@ def suite_envelope_free(bound=4):
     report = {"dims": [dims[d] for d in sorted(dims)], "stable": q.stable}
     if dims != expected:
         defects.append({"case": "dims", "got": dims, "expected": expected})
-    if not q.stable:
-        defects.append({"case": "unstable truncation"})
-    elems, pdims, check = env.envelope_primitives(q)
-    if len(elems) != b.dim or not check["letters_primitive"]:
-        defects.append({"case": "primitives", "count": len(elems)})
-    if check["product_defects"]:
-        defects.append({"case": "structure roundtrip", "defects": check["product_defects"]})
+    defects += q.report()[1]
     return report, defects
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from treealg import cli
+from treealg import cli, envelope
 from treealg.cli import main
 from treealg.dendriform import parse_expr
 from treealg.suites import SUITES, SuiteError, run_suite
@@ -137,6 +137,38 @@ def test_envelope_letter_heavier_than_the_bound(tmp_path):
     assert (result["dims"], result["primitive_basis"]) == ([1, 1, 1], ["a"])
 
 
+def test_envelope_value_heavier_than_its_tuple(tmp_path):
+    # {a|a} = b with b of weight 5: the weights are no filtration, so the
+    # brace is invalid, whatever the bound
+    path = tmp_path / "heavy-value.json"
+    path.write_text(
+        json.dumps({"dim": 2, "basis": ["a", "b"], "weights": [1, 5], "products": [_product(index=1)]})
+    )
+    for bound in ("2", "5"):
+        argv = ["--output", "json", "envelope", "--brace", str(path), "--bound", bound, "--slack", "0"]
+        code, out, err = run_cli(argv)
+        doc = json.loads(out)
+        assert (code, err, doc["result"]) == (1, "", {"valid": False})
+        assert doc["defects"] == [
+            {"case": "value heavier than its tuple", "root": 0, "args": [0], "weight": 2, "value": "b"}
+        ]
+
+
+def test_envelope_reports_the_primitive_and_constant_defects(tmp_path, monkeypatch):
+    # an ideal that misses its first relation, {a|a} = 0: a<a - a>a stays
+    # a nonzero primitive class and the brace of a with a is not 0
+    path = tmp_path / "trivial2.json"
+    path.write_text(json.dumps({"dim": 2, "basis": ["a", "b"], "products": []}))
+    relation_generators = envelope.relation_generators
+    monkeypatch.setattr(envelope, "relation_generators", lambda b, bound: relation_generators(b, bound)[1:])
+    argv = ["--output", "json", "envelope", "--brace", str(path), "--bound", "3", "--slack", "0"]
+    code, out, err = run_cli(argv)
+    doc = json.loads(out)
+    assert (code, err, doc["result"]["dims"]) == (1, "", [1, 2, 5, 13])
+    assert doc["defects"][0] == {"case": "primitives", "count": 4, "letters": 2}
+    assert {"case": "structure constants", "root": 0, "args": [0]} in doc["defects"]
+
+
 def test_envelope_invalid_brace(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -210,6 +242,9 @@ BAD_ARGS = [
     ["envelope", "--brace", "unused.json", "--slack", "-1"],
     ["envelope", "--brace", "/nonexistent/brace.json"],
     ["eval", "--expr", "1<1"],
+    # one grouping of each chain forms 1>1 or 1<1
+    ["eval", "--expr", "1>1<a"],
+    ["eval", "--expr", "a>1<1"],
     ["verify", "--suite", "psi-morphism", "--bound", "1"],
     # nested deeper than the interpreter's recursion limit
     ["eval", "--expr", "(" * 3000 + "a" + ")" * 3000],

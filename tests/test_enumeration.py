@@ -5,7 +5,7 @@ weighted_tuples yields the index tuples of itertools.product within a
 weight bound.  A wrong bound or wrong weights in relation_generators or
 harvest_brace change envelope dimensions or harvested constants, which
 tests/test_envelope.py and the acceptance suite pin.  validate_brace,
-_structure_roundtrip and theta_roundtrip only check, so on a valid
+envelope_primitives and theta_roundtrip only check, so on a valid
 structure a walk that stops short reports what a full one does: the
 tests below state the tuples each must reach.
 """
@@ -18,7 +18,6 @@ from hypothesis import given, strategies as st
 from treealg import envelope
 from treealg.envelope import (
     BraceStructure,
-    _structure_roundtrip,
     build_envelope,
     envelope_primitives,
     harvest_brace,
@@ -82,17 +81,16 @@ def test_validate_brace_visits_the_tuples_within_both_bounds(monkeypatch):
 
 def test_structure_roundtrip_checks_every_tuple_within_the_bound():
     # the harvest(1, 4) envelope read against zero constants: each of its
-    # nonzero products, of weight up to 4, is a product defect, by arity
-    # and then in product order
+    # nonzero products, of weight up to 4, is a structure-constants
+    # defect, by arity and then in product order
     b, _ = harvest_brace(1, 4)
     q = build_envelope(b, 4, slack=0)
-    elems, _, check = envelope_primitives(q)
-    assert check["letters_primitive"] and not check["product_defects"]
+    assert envelope_primitives(q)[2] == []
     q.brace = BraceStructure(b.dim, b.basis, {}, weights=b.weights, weight_bound=4)
     expected = sorted(b.products, key=lambda key: (len(key[1]), key[0], key[1]))
     assert max(b.tuple_weight(*key) for key in expected) == 4
-    assert _structure_roundtrip(q, elems)["product_defects"] == [
-        {"root": root, "args": list(args)} for root, args in expected
+    assert envelope_primitives(q)[2] == [
+        {"case": "structure constants", "root": root, "args": list(args)} for root, args in expected
     ]
 
 

@@ -189,9 +189,8 @@ def test_envelope_coideal_check():
 def test_envelope_primitives_trivial():
     for dim in (1, 2):
         q = build_envelope(trivial_brace(dim), 3)
-        elems, dims, check = envelope_primitives(q)
-        assert len(elems) == dim
-        assert check["letters_primitive"] and not check["product_defects"]
+        elems, dims, defects = envelope_primitives(q)
+        assert len(elems) == dim and defects == []
 
 
 def test_envelope_of_associative_brace():
@@ -199,8 +198,8 @@ def test_envelope_of_associative_brace():
     q = build_envelope(b, 4, slack=1)
     assert q.dims() == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
     assert q.stable and not q.graded
-    elems, dims, check = envelope_primitives(q)
-    assert len(elems) == 1 and not check["product_defects"]
+    elems, dims, defects = envelope_primitives(q)
+    assert len(elems) == 1 and defects == []
 
 
 def mixed_brace():
@@ -256,9 +255,8 @@ def test_harvest_and_free_envelope():
     q = build_envelope(b, 3, slack=0)
     assert q.dims() == {0: 1, 1: 1, 2: 1 + 1, 3: 5}
     assert q.stable
-    elems, dims, check = envelope_primitives(q)
-    assert len(elems) == b.dim
-    assert check["letters_primitive"] and not check["product_defects"]
+    elems, dims, defects = envelope_primitives(q)
+    assert len(elems) == b.dim and defects == []
 
 
 def test_harvested_constants_match_brace_of_primitives():

@@ -15,7 +15,6 @@ from treealg.linalg import (
     combine,
     kernel_basis,
     rat,
-    span_contains,
     to_int_row,
 )
 from treealg.trees import LEAF, pbt_basis
@@ -239,26 +238,6 @@ def test_span_basis_independent_of_insertion_order(rows, rnd):
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     assert row_span(rows).basis() == row_span(shuffled).basis()
-
-
-def test_span_contains_examples():
-    x = LinComb.single("x")
-    y = LinComb.single("y")
-    assert span_contains([x + y], (x + y).scale(2))
-    assert not span_contains([x], y)
-
-
-def test_span_contains_rank_invariant():
-    gens = [LinComb([("x", 1), ("y", 2)]), LinComb([("y", 1), ("z", 1)])]
-    cand = gens[0] + gens[1].scale(Fraction(3, 7))
-    assert span_contains(gens, cand)
-    keys = ["x", "y", "z"]
-    span = EchelonSpan()
-    for g in gens:
-        span.insert({keys.index(k): c for k, c in g.terms.items()})
-    before = span.rank
-    span.insert({keys.index(k): c for k, c in cand.terms.items()})
-    assert span.rank == before
 
 
 def test_echelon_span_reduce_exact_is_projection():

@@ -2,7 +2,8 @@
 every name the benchmark's tracer wraps or reads still exists, no
 argument check in the library is an assert, which python -O strips,
 no loop in the library rebuilds a sum term by term, one function
-expands the brace relation and one parser reads every text grammar."""
+expands the brace relation, one parser reads every text grammar and
+one method decides an envelope's defects."""
 
 import ast
 import importlib
@@ -130,6 +131,18 @@ def test_one_parser():
         for owner in _references(ast.parse(path.read_text(), str(path)), "_Parser")
     }
     assert found == {("trees.py", "_parse_all")}
+
+
+def test_one_envelope_verdict():
+    # the primitive, structure-constant and stability defects of an
+    # envelope are decided in TruncatedQuotient.report; the envelope
+    # verb and suites read its defect list
+    found = {
+        (path.name, owner)
+        for path in sorted((ROOT / "src" / "treealg").glob("*.py"))
+        for owner in _references(ast.parse(path.read_text(), str(path)), "envelope_primitives")
+    }
+    assert found == {("envelope.py", "report")}
 
 
 OPTIMIZED_CHECKS = """
