@@ -46,16 +46,19 @@ class UnitProductError(ValueError):
     which one of the two groupings would form one of them."""
 
 
+_nodes = PBT._nodes  # indexed directly: a hit is one dict lookup
+
+
 @lru_cache(maxsize=None)
 def _tree_prec(t: PBT, s: PBT) -> tuple:
     rs = (s,) if t.right is LEAF else _tree_star(t.right, s)
-    return tuple([PBT(t.left, t.label, u) for u in rs])
+    return tuple([_nodes[t.left, t.label, u] for u in rs])
 
 
 @lru_cache(maxsize=None)
 def _tree_succ(t: PBT, s: PBT) -> tuple:
     tl = (t,) if s.left is LEAF else _tree_star(t, s.left)
-    return tuple([PBT(u, s.label, s.right) for u in tl])
+    return tuple([_nodes[u, s.label, s.right] for u in tl])
 
 
 @lru_cache(maxsize=None)
@@ -108,21 +111,21 @@ DEND_ONE = DendElement.one()
 
 def _unit_prec(t, s):
     """1<s = 0, t<1 = t; 1<1 raises."""
-    if t.is_leaf() and s.is_leaf():
+    if t is LEAF and s is LEAF:
         raise UnitProductError("1<1 is undefined")
-    return (t,) if s.is_leaf() else ()
+    return (t,) if s is LEAF else ()
 
 
 def _unit_succ(t, s):
     """t>1 = 0, 1>s = s; 1>1 raises."""
-    if t.is_leaf() and s.is_leaf():
+    if t is LEAF and s is LEAF:
         raise UnitProductError("1>1 is undefined")
-    return (s,) if t.is_leaf() else ()
+    return (s,) if t is LEAF else ()
 
 
 def _unit_star(t, s):
     """1*s = s, t*1 = t."""
-    return (s if t.is_leaf() else t,)
+    return (s if t is LEAF else t,)
 
 
 # op -> (product of two non-empty trees, unit rule)

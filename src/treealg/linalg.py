@@ -109,7 +109,9 @@ class LinComb:
 
     @classmethod
     def single(cls, key, coeff=1):
-        return cls([(key, coeff)])
+        """coeff times key, the zero combination when coeff is 0."""
+        c = rat(coeff)
+        return _from_terms(cls, {key: c} if c else {})
 
     @classmethod
     def sum(cls, parts):

@@ -119,7 +119,7 @@ def suite_axioms(bound=5):
                             ("eq3", ((xy_star, ">", z, 1), (x, ">", yz_succ, -1))),
                             ("star-assoc", ((xy_star, "*", z, 1), (x, "*", yz_star, -1))),
                         ):
-                            if not product_sum(parts).is_zero():
+                            if product_sum(parts).terms:
                                 defects.append({"axiom": name, "triple": [str(t1), str(t2), str(t3)]})
     units_checked = 0
     for d in range(1, bound + 1):

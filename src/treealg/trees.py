@@ -18,8 +18,12 @@ canonical.
 
 Decorated binary trees are hash-consed: each tree exists as one node,
 shared by every tree that contains it, so tree equality and hashing are
-object identity.  The node table is never emptied, like the module's
-lru_caches.  Their labels must be strings.
+object identity.  One table, ``PBT._nodes``, builds every node: it is a
+dict keyed (left, label, right) that builds and stores the node on a
+miss, so a hit is one dict lookup; the hot constructors index it
+directly.  The table is never emptied, like the module's lru_caches.
+Labels must be strings.  A node's printed form is built on first use,
+not with the node, since most trees are only multiplied, never printed.
 """
 
 import re
@@ -129,46 +133,75 @@ def to_rooted(t: PlanarTree) -> RootedTree:
     return RootedTree(t.label, [to_rooted(c) for c in t.children])
 
 
+class _NodeTable(dict):
+    """The PBT nodes keyed (left, label, right); a missing key builds its
+    node, which has no printed form yet."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        left, label, right = key
+        if not isinstance(label, str):
+            raise TypeError("a PBT label must be a str, got %r" % (label,))
+        node = object.__new__(PBT)
+        node.left = left
+        node.label = label
+        node.right = right
+        node._str = None
+        node.degree = left.degree + 1 + right.degree
+        self[key] = node
+        return node
+
+
+def _print(node):
+    """The printed form "(left label right)" of node, stored in _str
+    together with that of each unprinted subtree, bottom-up from an
+    explicit stack, so a deep comb prints without one call per level."""
+    stack = [node]
+    while stack:
+        t = stack[-1]
+        left, right = t.left, t.right
+        if left._str is None:
+            stack.append(left)
+        elif right._str is None:
+            stack.append(right)
+        else:
+            t._str = "(%s %s %s)" % (left._str, t.label, right._str)
+            stack.pop()
+    return node._str
+
+
 class PBT:
     """Planar binary tree with generator-decorated internal nodes.
 
     Nodes are hash-consed: PBT(left, label, right) returns the one node
-    already built from the same children and label, so two trees are
-    equal exactly when they are the same object, and equality and
-    hashing are the identity defaults of object.  The table of nodes is
-    never emptied.  Labels are strings, so that trees which print alike
-    are the same tree; any other label raises TypeError.
+    of the table ``PBT._nodes`` built from the same children and label,
+    so two trees are equal exactly when they are the same object, and
+    equality and hashing are the identity defaults of object.  The
+    table builds every node and is never emptied; ``PBT._nodes[left,
+    label, right]`` is the same node without the call.  Labels are
+    strings, so that trees which print alike are the same tree; any
+    other label raises TypeError.  The printed form, read by str, repr
+    and <, is built on first use and kept in _str (None until then).
 
     LEAF is the unique empty tree (degree 0); it stands for the unit
     when a node slot is vacant and never occurs as a basis element.
     """
 
     __slots__ = ("left", "label", "right", "_str", "degree")
-    _nodes = {}
+    _nodes = _NodeTable()
 
     def __new__(cls, left, label, right):
-        key = (left, label, right)
-        node = cls._nodes.get(key)
-        if node is None:
-            if not isinstance(label, str):
-                raise TypeError("a PBT label must be a str, got %r" % (label,))
-            node = object.__new__(cls)
-            node.left = left
-            node.label = label
-            node.right = right
-            node._str = "(%s %s %s)" % (left._str, label, right._str)
-            node.degree = left.degree + 1 + right.degree
-            cls._nodes[key] = node
-        return node
+        return cls._nodes[left, label, right]
 
     def __str__(self):
-        return self._str
+        return self._str or _print(self)
 
     def __repr__(self):
-        return "PBT(%r)" % self._str
+        return "PBT(%r)" % str(self)
 
     def __lt__(self, other):
-        return self._str < other._str
+        return (self._str or _print(self)) < (other._str or _print(other))
 
     def is_leaf(self):
         return False
@@ -212,7 +245,7 @@ class _Leaf:
         return "LEAF"
 
     def __lt__(self, other):
-        return "*" < other._str
+        return "*" < (other._str or _print(other))
 
     def is_leaf(self):
         return True
@@ -456,12 +489,13 @@ def pbt_basis(degree, alphabet):
         raise ValueError("degree must be at least 1, got %r" % (degree,))
     alphabet = list(alphabet)
     decorated = {LEAF: [LEAF]}  # shape -> its decorated trees, in order
+    nodes = PBT._nodes
 
     def decorate(shape):
         out = decorated.get(shape)
         if out is None:
             lefts, rights = decorate(shape.left), decorate(shape.right)
-            out = [PBT(left, a, right) for left in lefts for a in alphabet for right in rights]
+            out = [nodes[left, a, right] for left in lefts for a in alphabet for right in rights]
             decorated[shape] = out
         return out
 

@@ -280,6 +280,19 @@ def test_mixed_int_and_fraction_coefficients_are_one_value(cls, keys):
     assert mixed == as_fractions
     assert hash(mixed) == hash(as_fractions)
     assert str(mixed) == str(as_fractions)
+    # one term, its coefficient read as by rat(): an int stays an int, a
+    # string becomes a Fraction, and 0 gives the zero combination; a
+    # DendElement is built from a tree by from_tree
+    single = getattr(cls, "from_tree", cls.single)
+    singles = [single(k, c) for k, c in zip(keys, coeffs)]
+    assert all(type(x) is cls for x in singles)
+    assert [x.terms for x in singles] == [{k: c} for k, c in zip(keys, coeffs)]
+    assert [type(x.coeff(k)) for x, k in zip(singles, keys)] == [int, Fraction, int]
+    assert cls.sum((x, 1) for x in singles) == mixed
+    half = single(keys[0], "1/2").terms[keys[0]]
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert single(keys[0], 0) == cls()
+    assert single(keys[0]).terms == {keys[0]: 1}
 
 
 def test_rat_keeps_exact_numbers_and_parses_the_rest():

@@ -2,8 +2,9 @@
 every name the benchmark's tracer wraps or reads still exists, no
 argument check in the library is an assert, which python -O strips,
 no loop in the library rebuilds a sum term by term, one function
-expands the brace relation, one parser reads every text grammar and
-one method decides an envelope's defects."""
+expands the brace relation, one parser reads every text grammar, one
+method decides an envelope's defects and one table builds every binary
+tree."""
 
 import ast
 import importlib
@@ -91,24 +92,31 @@ def test_no_loop_rebuilds_a_sum():
     assert sorted(found) == []
 
 
-def _references(tree, name):
-    """Names of the functions that refer to `name` (None at module
-    level), import aliases included."""
+def _owners(tree, match):
+    """Names of the functions (None at module level) holding a node for
+    which match is true, once per such node."""
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 yield from visit(child, getattr(child, "name", owner))
                 continue
-            if (
-                isinstance(child, ast.Name) and child.id == name
-                or isinstance(child, ast.Attribute) and child.attr == name
-                or isinstance(child, ast.alias) and child.name == name
-            ):
+            if match(child):
                 yield owner
             yield from visit(child, owner)
 
     return visit(tree, None)
+
+
+def _references(tree, name):
+    """Names of the functions that refer to `name` (None at module
+    level), import aliases included."""
+    return _owners(
+        tree,
+        lambda node: isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and node.name == name,
+    )
 
 
 def test_one_brace_relation_expansion():
@@ -143,6 +151,26 @@ def test_one_envelope_verdict():
         for owner in _references(ast.parse(path.read_text(), str(path)), "envelope_primitives")
     }
     assert found == {("envelope.py", "report")}
+
+
+def _builds_a_pbt(node) -> bool:
+    """node is the call object.__new__(PBT)."""
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "object.__new__"
+        and [ast.unparse(a) for a in node.args] == ["PBT"]
+    )
+
+
+def test_one_node_table():
+    # every PBT node is built in the table's __missing__, so a tree is
+    # one node whichever constructor asked for it
+    found = [
+        (path.name, owner)
+        for path in sorted((ROOT / "src" / "treealg").glob("*.py"))
+        for owner in _owners(ast.parse(path.read_text(), str(path)), _builds_a_pbt)
+    ]
+    assert found == [("trees.py", "__missing__")]
 
 
 OPTIMIZED_CHECKS = """

@@ -22,7 +22,6 @@ from treealg.trees import (
     angles,
     parse_planar,
     parse_rooted,
-    planar_shapes,
     planar_trees,
     rooted_trees,
 )
@@ -170,13 +169,6 @@ def same(a: LinComb, b: LinComb):
 
 def labels(lo, hi):
     return [str(i) for i in range(lo, hi + 1)]
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_planar_shapes_match_old_enumerator(n):
-    old = [_structure_to_tree(s, labels(1, n), [0]) for s in old_planar_structures(n)]
-    assert planar_shapes(n) == old
-    assert [repr(t) for t in planar_shapes(n)] == [repr(t) for t in old]
 
 
 @pytest.mark.parametrize("n", range(0, 6))

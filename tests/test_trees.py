@@ -200,6 +200,9 @@ def test_pbt_labels_must_be_strings():
             PBT(LEAF, label, LEAF)
         with pytest.raises(TypeError):
             PBT(one, label, LEAF)
+        # the table builds every node, so a direct lookup checks too
+        with pytest.raises(TypeError):
+            PBT._nodes[LEAF, label, LEAF]
     assert PBT(LEAF, "1", LEAF) is one
 
 
@@ -218,6 +221,39 @@ def test_equal_trees_are_one_node():
         assert parse_pbt(str(t)) is t
         assert t.relabel(rename).relabel(back) is t
         assert interned(t)
+    basis = pbt_basis(5, ["a", "b"])
+    size = len(PBT._nodes)
+    assert pbt_basis(5, ["a", "b"]) == basis and len(PBT._nodes) == size
+
+
+def eager_str(t):
+    """The printed form as the constructor built it, "(left label right)"
+    from the printed children, computed here from scratch."""
+    if t is LEAF:
+        return "*"
+    return "(%s %s %s)" % (eager_str(t.left), t.label, eager_str(t.right))
+
+
+def test_printed_form_on_first_use_is_the_eager_one():
+    # the printed form is built when first read, children first; it must
+    # be the string the constructor used to build, and sort the same;
+    # on letters no other test uses, < is the first to read it
+    for alphabet in (["a", "b"], ["print_p", "print_q"]):
+        trees = [t for d in range(1, 6) for t in pbt_basis(d, alphabet)]
+        assert sorted([*trees, LEAF]) == sorted([*trees, LEAF], key=eager_str)
+        expected = [eager_str(t) for t in trees]
+        assert [str(t) for t in trees] == expected
+        assert [repr(t) for t in trees] == ["PBT(%r)" % e for e in expected]
+    # combs far deeper than the recursion limit print too
+    n = 2000
+    left = right = LEAF
+    for _ in range(n):
+        left = PBT(left, "a", LEAF)
+        right = PBT(LEAF, "a", right)
+    assert str(left) == "(" * n + "*" + " a *)" * n
+    assert str(right) == "(* a " * n + "*" + ")" * n
+    assert repr(left) == "PBT(%r)" % str(left)
+    assert left < right and not right < left
 
 
 def test_generator_names():
