@@ -90,12 +90,6 @@ class DendElement(LinComb):
         """Coefficient of the unit."""
         return self.coeff(LEAF)
 
-    def decorations(self):
-        out = set()
-        for t in self.terms:
-            out.update(t.decorations())
-        return out
-
     def items(self):
         """Terms by degree, then by product expression: the unit first."""
         return sorted(self.terms.items(), key=lambda kv: (kv[0].degree, pbt_expr(kv[0])))
@@ -395,10 +389,7 @@ def s_closure(seeds, degree_bound, alphabet=None, weights=None) -> DendSpan:
     """Dendriform ideal generated by the seeds, truncated to the bound."""
     seeds = list(seeds)
     if alphabet is None:
-        letters = set()
-        for e in seeds:
-            letters.update(e.decorations())
-        alphabet = sorted(letters)
+        alphabet = sorted({a for e in seeds for t in e.terms for a in t.decorations()})
     span = DendSpan(alphabet, degree_bound, weights)
     span.saturate(seeds)
     return span

@@ -89,6 +89,95 @@ def test_wrong_star_alone_is_star_split(monkeypatch, fresh_tree_caches):
     assert splits == [{"axiom": "star-split", "pair": [str(a), str(b)]}]
 
 
+# The axioms suite as it was when it summed each identity with
+# product_sum: a verbatim copy, the oracle of the test below.
+def old_suite_axioms(bound=5):
+    """Dendriform axioms, unit laws, and associativity of the sum
+    product on basis trees over two generators.
+
+    Every triple (x, y, z) with degree sum at most bound is checked in
+    Loday's form, one product_sum per identity:
+
+        eq1          (x<y)<z - x<(y*z)
+        eq2          (x>y)<z - x>(y<z)
+        eq3          (x*y)>z - x>(y>z)
+        star-assoc   (x*y)*z - x*(y*z)
+
+    and every pair with degree sum below bound is checked to satisfy
+    star-split, x*y = x<y + x>y.  The products are bilinear, so
+    star-split on (y, z) and (x, y) turns the star form into the
+    expanded one, x<(y*z) = x<(y<z) + x<(y>z) and
+    (x*y)>z = (x<y)>z + (x>y)>z: the two check the same thing.  The
+    unit laws are checked on every basis tree of degree at most bound.
+    """
+    defects = []
+    trees = {d: pbt_basis(d, ["a", "b"]) for d in range(1, bound + 1)}
+    basis = {d: [(t, DendElement.from_tree(t)) for t in trees[d]] for d in range(1, bound - 1)}
+    degree_pairs = [(d1, d2) for d1, d2 in product(range(1, bound - 1), repeat=2) if d1 + d2 < bound]
+    # x<y, x>y and x*y of every pair with degree sum below bound: the
+    # products x.y and y.z of every triple
+    table = {}
+    for d1, d2 in degree_pairs:
+        for t1, x in basis[d1]:
+            for t2, y in basis[d2]:
+                xy = table[t1, t2] = (dprec(x, y), dsucc(x, y), dstar(x, y))
+                if xy[2] != xy[0] + xy[1]:
+                    defects.append({"axiom": "star-split", "pair": [str(t1), str(t2)]})
+    checked = 0
+    for d1, d2 in degree_pairs:
+        for d3 in range(1, bound - d1 - d2 + 1):
+            for t1, x in basis[d1]:
+                for t2, y in basis[d2]:
+                    xy_prec, xy_succ, xy_star = table[t1, t2]
+                    for t3, z in basis[d3]:
+                        checked += 1
+                        yz_prec, yz_succ, yz_star = table[t2, t3]
+                        for name, parts in (
+                            ("eq1", ((xy_prec, "<", z, 1), (x, "<", yz_star, -1))),
+                            ("eq2", ((xy_succ, "<", z, 1), (x, ">", yz_prec, -1))),
+                            ("eq3", ((xy_star, ">", z, 1), (x, ">", yz_succ, -1))),
+                            ("star-assoc", ((xy_star, "*", z, 1), (x, "*", yz_star, -1))),
+                        ):
+                            if product_sum(parts).terms:
+                                defects.append({"axiom": name, "triple": [str(t1), str(t2), str(t3)]})
+    units_checked = 0
+    for d in range(1, bound + 1):
+        for t in trees[d]:
+            x = DendElement.from_tree(t)
+            units_checked += 1
+            good = (
+                dsucc(DEND_ONE, x) == x
+                and dprec(x, DEND_ONE) == x
+                and dprec(DEND_ONE, x).is_zero()
+                and dsucc(x, DEND_ONE).is_zero()
+            )
+            if not good:
+                defects.append({"axiom": "unit", "element": str(t)})
+    return {"triples": checked, "unit_checks": units_checked}, defects
+
+
+@pytest.mark.parametrize("op", ["<", ">", "*"])
+@pytest.mark.parametrize("wrong", ["drop", "repeat"])
+def test_axioms_on_tuples_match_product_sum(monkeypatch, op, wrong):
+    # the suite sums the cached tuples itself; with one product wrong on
+    # one pair it must report what product_sum reports.  A repeated tree
+    # has coefficient 2 in product_sum, so the suite must count trees,
+    # not collect them into a set
+    t, s = parse_pbt("(* a (* b *))"), parse_pbt("(* b *)")
+    original, unit_rule = dendriform._PRODUCTS[op]
+
+    def mutated(u, v):
+        out = original(u, v)
+        if u is t and v is s:
+            return out[1:] if wrong == "drop" else out + out[:1]
+        return out
+
+    monkeypatch.setitem(dendriform._PRODUCTS, op, (mutated, unit_rule))
+    expected = old_suite_axioms(5)[1]
+    assert expected
+    assert run_suite("axioms", 5)["defects"] == expected
+
+
 def test_product_cache_holds_table_nodes():
     # parse_pbt builds from the table, so it returns u only if u and
     # each of its subtrees is the table's node

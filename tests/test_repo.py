@@ -1,5 +1,6 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked,
-every name the benchmark's tracer wraps or reads still exists, no
+every name the benchmark's tracer wraps or reads still exists, a traced
+run of each benchmark workload passes the tracer's self-test, no
 argument check in the library is an assert, which python -O strips,
 no loop in the library rebuilds a sum term by term, one function
 expands the brace relation, one parser reads every text grammar, one
@@ -9,6 +10,7 @@ tree."""
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -54,6 +56,37 @@ def test_benchmark_hooks_resolve():
         short, attr = name.split(".")
         owner = importlib.import_module("treealg." + short)
         assert callable(getattr(getattr(owner, attr), "cache_info", None)), name
+
+
+def test_tracer_self_test_passes():
+    # the check a traced benchmark run makes on each workload: the result
+    # equals the golden one and every layer mapped to the workload shows
+    # work.  A layer that goes to zero would otherwise fail only there
+    spec = importlib.util.spec_from_file_location("run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    golden = str(ROOT / "perfbench" / "golden.json")
+    procs = {
+        workload: subprocess.Popen(
+            [sys.executable, str(ROOT / "perfbench" / "child.py"), suite, str(bound), golden, workload, "1"],
+            stdout=subprocess.PIPE,
+            env=env,
+            cwd=ROOT,
+        )
+        for workload, (suite, bound, _) in run.WORKLOADS.items()
+    }
+    try:
+        outs = {workload: proc.communicate(timeout=120)[0] for workload, proc in procs.items()}
+    finally:
+        for proc in procs.values():
+            proc.kill()
+            proc.wait()
+    for workload, out in outs.items():
+        assert procs[workload].returncode == 0, workload
+        info = json.loads(out.decode().splitlines()[-1])
+        assert info["matches_golden"], workload
+        assert run.tracer_problems(workload, info) == [], workload
 
 
 def test_no_assert_in_src():

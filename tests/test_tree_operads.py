@@ -1,14 +1,12 @@
 """Differential tests of the shared tree-operad code against the code it
 replaced.
 
-PlanarTree and RootedTree used to be two copies of one class, the
-planar shapes had their own enumerator, and the planar and non-planar
-compositions each repeated the vertex lookup, the label check, the
-substitution and the bilinear extension.  The old_* functions below are
+PlanarTree and RootedTree used to be two copies of one class, and the
+planar and non-planar compositions each repeated the vertex lookup, the
+label check, the substitution and the bilinear extension.  The old_* functions below are
 verbatim copies of the replaced code, renamed so they call each other.
 """
 
-from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
@@ -18,38 +16,12 @@ from treealg.operads import _as_combo, compose_ape, compose_prelie, phi
 from treealg.trees import (
     PlanarTree,
     RootedTree,
-    _structure_to_tree,
     angles,
     parse_planar,
     parse_rooted,
     planar_trees,
     rooted_trees,
 )
-
-
-@lru_cache(maxsize=None)
-def old_planar_structures(n):
-    """Planar shapes with n vertices as nested tuples."""
-    if n == 1:
-        return ((),)
-    out = []
-    for first in range(1, n):
-        for head in old_planar_structures(first):
-            for rest in old_forest_structures(n - 1 - first):
-                out.append((head,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def old_forest_structures(n):
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(1, n + 1):
-        for head in old_planar_structures(first):
-            for rest in old_forest_structures(n - first):
-                out.append((head,) + rest)
-    return tuple(out)
 
 
 def old_compose_ape_trees(outer: PlanarTree, at, inner: PlanarTree):
@@ -169,16 +141,6 @@ def same(a: LinComb, b: LinComb):
 
 def labels(lo, hi):
     return [str(i) for i in range(lo, hi + 1)]
-
-
-@pytest.mark.parametrize("n", range(0, 6))
-def test_planar_trees_match_old_enumerator(n):
-    old = [
-        _structure_to_tree(s, perm, [0])
-        for s in old_planar_structures(n)
-        for perm in permutations(labels(1, n))
-    ]
-    assert planar_trees(labels(1, n)) == old
 
 
 @pytest.mark.parametrize(

@@ -147,6 +147,7 @@ def test_pbt_shape_counts():
 
 
 def test_planar_labeled_count():
+    assert planar_trees([]) == []
     assert len(planar_trees(["1", "2", "3"])) == catalan(2) * 6
     # by shape in planar_shapes order, then by the labels in preorder, in
     # itertools.permutations order
