@@ -281,6 +281,14 @@ class DendSpan:
     column, so per-degree ranks of a saturated ideal read off directly.
     LEAF, the unit, is the last column; positive_body keeps it out of
     every row, so it is never a pivot and reduce() keeps the unit part.
+
+    Weighted degrees come from ``wdegs``, a table tree -> weighted
+    degree built with the columns (LEAF: 0).  weighted_pbt_basis yields
+    every subtree before the trees built from it, so each entry is
+    wdegs[left] + weight of the label + wdegs[right].  wdeg() sums the
+    decorations' weights only for a tree off the table: above the
+    cutoff, or on a letter outside the alphabet (KeyError if it has no
+    weight).
     """
 
     def __init__(self, alphabet, cutoff, weights=None):
@@ -289,13 +297,19 @@ class DendSpan:
         self.weights = dict(weights) if weights else {a: 1 for a in self.alphabet}
         for a in self.alphabet:
             w = self.weights.get(a)
-            if not isinstance(w, int) or w < 1:
+            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise ValueError("letter %r has weight %r, not an integer >= 1" % (a, w))
         trees = weighted_pbt_basis(self.alphabet, self.weights, cutoff)
-        self.span = Span(sorted(trees, key=lambda t: (-self.wdeg(t), str(t))) + [LEAF])
+        wdegs = self.wdegs = {LEAF: 0}
+        for t in trees:
+            wdegs[t] = wdegs[t.left] + self.weights[t.label] + wdegs[t.right]
+        self.span = Span(sorted(trees, key=lambda t: (-wdegs[t], str(t))) + [LEAF])
 
     def wdeg(self, t: PBT) -> int:
-        return sum(self.weights[a] for a in t.decorations())
+        d = self.wdegs.get(t)
+        if d is None:
+            d = sum(self.weights[a] for a in t.decorations())
+        return d
 
     def top_wdeg(self, e: DendElement) -> int:
         return max([0] + [self.wdeg(t) for t in e.terms])
@@ -320,7 +334,7 @@ class DendSpan:
         """Rank per weighted degree (pivot degree of each echelon row)."""
         out = {d: 0 for d in range(1, self.cutoff + 1)}
         for t in self.span.pivot_keys():
-            out[self.wdeg(t)] += 1
+            out[self.wdegs[t]] += 1
         return out
 
     def basis_elements(self):
@@ -354,7 +368,7 @@ class DendSpan:
         """
         by_degree = {}
         for t in self.span.columns:
-            by_degree.setdefault(self.wdeg(t), []).append((DendElement.from_tree(t), t.degree == 1))
+            by_degree.setdefault(self.wdegs[t], []).append((DendElement.from_tree(t), t.degree == 1))
         work = []
         for e in seeds:
             if e.unit:

@@ -312,7 +312,7 @@ def _filtration_dims(span: DendSpan, bound) -> dict:
     the unit line."""
     cols = {}
     for t in span.span.columns:
-        w = span.wdeg(t)
+        w = span.wdegs[t]
         cols[w] = cols.get(w, 0) + 1
     ranks = span.degree_dims()
     out = {0: 1}
@@ -353,7 +353,7 @@ class TruncatedQuotient:
         pivots = set(self.span.span.pivot_keys())
         out = {}
         for t in self.span.span.columns:
-            d = self.span.wdeg(t)
+            d = self.span.wdegs[t]
             if 0 < d <= self.bound and t not in pivots:
                 out.setdefault(d, []).append(t)
         return out
@@ -456,7 +456,8 @@ def envelope_primitives(q: TruncatedQuotient):
     elems = [DendElement(v) for v in kernel_basis(classes, images)]
     dims = {}
     for e in elems:
-        dims[q.span.top_wdeg(e)] = dims.get(q.span.top_wdeg(e), 0) + 1
+        d = q.span.top_wdeg(e)
+        dims[d] = dims.get(d, 0) + 1
     b = q.brace
     # a letter reduces along rows pivoted at its own degree, which the
     # column order keeps in degrees <= its weight: onto the class trees

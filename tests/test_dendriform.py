@@ -344,6 +344,13 @@ def test_s_closure_rejects_bad_weight_under_optimize():
     assert out.returncode == 0, out.stderr
 
 
+def test_dendspan_rejects_bool_weight():
+    # bool is an int; a letter weight is rejected as BraceStructure does
+    for w in (True, False):
+        with pytest.raises(ValueError, match="letter 'a' has weight %s, not an integer >= 1" % w):
+            dendriform.DendSpan(["a"], 2, {"a": w})
+
+
 def test_pli_counts():
     from math import comb
 

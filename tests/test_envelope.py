@@ -6,6 +6,7 @@ import pytest
 from treealg.linalg import LinComb
 from treealg.dendriform import (
     DendElement,
+    DendSpan,
     dprec,
     dstar,
     dsucc,
@@ -15,6 +16,7 @@ from treealg.dendriform import (
 from treealg.bialgebra import TensorSquareElement
 from treealg import words
 from treealg import envelope
+from treealg.trees import LEAF, PBT, weighted_pbt_basis
 from treealg.envelope import (
     BraceError,
     BraceStructure,
@@ -146,6 +148,64 @@ def test_envelope_degree_overflow():
     q = build_envelope(trivial_brace(1), 2)
     with pytest.raises(BraceError):
         q.reduce(upcomb([A, A, A, A]))
+
+
+def old_wdeg(span, t):
+    """The weighted degree as DendSpan computed it before its table."""
+    return sum(span.weights[a] for a in t.decorations())
+
+
+def old_degree_dims(span):
+    out = {d: 0 for d in range(1, span.cutoff + 1)}
+    for t in span.span.pivot_keys():
+        out[old_wdeg(span, t)] += 1
+    return out
+
+
+def old_filtration_dims(span, bound):
+    cols = {}
+    for t in span.span.columns:
+        w = old_wdeg(span, t)
+        cols[w] = cols.get(w, 0) + 1
+    ranks = old_degree_dims(span)
+    out = {0: 1}
+    for d in range(1, bound + 1):
+        out[d] = cols.get(d, 0) - ranks.get(d, 0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [trivial_brace(2).letters(), harvest_brace(1, 5)[0].letters(), {"a": 1, "b": 2}],
+    ids=["trivial", "harvested", "a1-b2"],
+)
+def test_wdeg_table_matches_decoration_sum(weights):
+    """DendSpan's table of weighted degrees against its specification,
+    the sum of the decorations' weights, on every column and on trees
+    above the cutoff; the per-degree counts read from the table equal
+    the old per-column walk on saturated spans."""
+    letters = list(weights)
+    gens = [DendElement.generator(x) for x in letters]
+    seeds = [dprec(x, y) - dsucc(y, x) for x in gens for y in gens]
+    for cutoff in range(1, 6):
+        span = DendSpan(letters, cutoff, weights)
+        assert span.wdegs[LEAF] == span.wdeg(LEAF) == span.top_wdeg(DendElement.one()) == 0
+        assert set(span.wdegs) == set(span.span.columns)
+        for t in span.span.columns:
+            assert span.wdegs[t] == span.wdeg(t) == old_wdeg(span, t)
+        above = [t for t in weighted_pbt_basis(letters, weights, cutoff + 1) if t not in span.wdegs]
+        assert above and all(span.wdeg(t) == old_wdeg(span, t) == cutoff + 1 for t in above)
+        assert span.top_wdeg(DendElement.from_tree(above[0]) + gens[0]) == cutoff + 1
+        for foreign in (PBT(LEAF, "z", LEAF), PBT(span.span.columns[0], "z", LEAF)):
+            with pytest.raises(KeyError):
+                span.wdeg(foreign)
+        span.saturate(seeds)
+        assert span.rank > 0 or cutoff == 1
+        assert span.degree_dims() == old_degree_dims(span)
+        for bound in range(1, cutoff + 1):
+            assert envelope._filtration_dims(span, bound) == old_filtration_dims(span, bound)
+        for row in span.basis_elements():
+            assert span.top_wdeg(row) == max(old_wdeg(span, t) for t in row.terms)
 
 
 def test_envelope_coproduct_unit():

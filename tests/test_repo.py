@@ -4,8 +4,9 @@ run of each benchmark workload passes the tracer's self-test, no
 argument check in the library is an assert, which python -O strips,
 no loop in the library rebuilds a sum term by term, one function
 expands the brace relation, one parser reads every text grammar, one
-method decides an envelope's defects and one table builds every binary
-tree."""
+method decides an envelope's defects, one table builds every binary
+tree and weighted degrees are read from DendSpan's table rather than
+from a walk of each tree's decorations."""
 
 import ast
 import importlib
@@ -204,6 +205,26 @@ def test_one_node_table():
         for owner in _owners(ast.parse(path.read_text(), str(path)), _builds_a_pbt)
     ]
     assert found == [("trees.py", "__missing__")]
+
+
+def _walks_decorations(node) -> bool:
+    """node is a call x.decorations()."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "decorations"
+    )
+
+
+def test_decorations_walked_off_the_hot_path():
+    # DendSpan.wdeg reads its table and walks a tree's decorations only
+    # for a tree off it; the other walks read letters, not degrees
+    found = sorted(
+        (path.name, owner)
+        for path in sorted((ROOT / "src" / "treealg").glob("*.py"))
+        for owner in _owners(ast.parse(path.read_text(), str(path)), _walks_decorations)
+    )
+    assert found == [("dendriform.py", "s_closure"), ("dendriform.py", "wdeg"), ("operads.py", "_graft")]
 
 
 OPTIMIZED_CHECKS = """

@@ -7,12 +7,12 @@ label check, the substitution and the bilinear extension.  The old_* functions b
 verbatim copies of the replaced code, renamed so they call each other.
 """
 
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from treealg.linalg import LinComb
-from treealg.operads import _as_combo, compose_ape, compose_prelie, phi
+from treealg.operads import _as_combo, compose_ape, compose_prelie
 from treealg.trees import (
     PlanarTree,
     RootedTree,
@@ -114,24 +114,6 @@ def old_compose_prelie(outer, at, inner) -> LinComb:
     return out
 
 
-def old_phi_tree(t: RootedTree):
-    options = [old_phi_tree(c) for c in t.children]
-    out = []
-    for order in permutations(range(len(t.children))):
-        for choice in product(*(options[i] for i in order)):
-            out.append(PlanarTree(t.label, choice))
-    return out
-
-
-def old_phi(x) -> LinComb:
-    """Symmetrization: a non-planar tree maps to the sum of all planar
-    trees isomorphic to it (all child orderings, distinct by labels)."""
-    out = LinComb()
-    for t, a in _as_combo(x).terms.items():
-        out = out + LinComb((u, 1) for u in old_phi_tree(t)).scale(a)
-    return out
-
-
 def same(a: LinComb, b: LinComb):
     """Equal terms in the same order, with keys of the same class."""
     return list(a.terms.items()) == list(b.terms.items()) and all(
@@ -180,12 +162,3 @@ def test_compositions_match_old_code_on_combinations_and_errors(parse, new, old)
         with pytest.raises((KeyError, ValueError)) as want:
             old(*args)
         assert (got.type, str(got.value)) == (want.type, str(want.value))
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_phi_matches_old_code(n):
-    trees = rooted_trees(labels(1, n))
-    for t in trees:
-        assert same(phi(t), old_phi(t))
-    combo = LinComb((t, i + 1) for i, t in enumerate(trees))
-    assert same(phi(combo), old_phi(combo))
