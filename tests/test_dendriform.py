@@ -2,12 +2,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from treealg import dendriform
+from treealg import dendriform, suites
 from treealg.operads import ClosureResult
 from treealg.suites import run_suite
 from treealg.trees import LEAF, PBT, ParseError, parse_pbt, parse_planar, pbt_basis
@@ -156,6 +157,30 @@ def old_suite_axioms(bound=5):
     return {"triples": checked, "unit_checks": units_checked}, defects
 
 
+def _mutate(monkeypatch, mutants):
+    """Replace each tree product op of mutants by mutants[op](original,
+    u, v); return the defects of old_suite_axioms(5), after checking that
+    the suite reports the same ones in the same order."""
+    for op, mutated in mutants.items():
+        original, unit_rule = dendriform._PRODUCTS[op]
+        monkeypatch.setitem(dendriform._PRODUCTS, op, (partial(mutated, original), unit_rule))
+    expected = old_suite_axioms(5)[1]
+    assert run_suite("axioms", 5)["defects"] == expected
+    return expected
+
+
+def _wrong_on(t, s, wrong):
+    """A product that drops or repeats the first tree on the pair (t, s)."""
+
+    def mutated(original, u, v):
+        out = original(u, v)
+        if u is t and v is s:
+            return out[1:] if wrong == "drop" else out + out[:1]
+        return out
+
+    return mutated
+
+
 @pytest.mark.parametrize("op", ["<", ">", "*"])
 @pytest.mark.parametrize("wrong", ["drop", "repeat"])
 def test_axioms_on_tuples_match_product_sum(monkeypatch, op, wrong):
@@ -164,18 +189,85 @@ def test_axioms_on_tuples_match_product_sum(monkeypatch, op, wrong):
     # has coefficient 2 in product_sum, so the suite must count trees,
     # not collect them into a set
     t, s = parse_pbt("(* a (* b *))"), parse_pbt("(* b *)")
-    original, unit_rule = dendriform._PRODUCTS[op]
+    assert _mutate(monkeypatch, {op: _wrong_on(t, s, wrong)})
 
-    def mutated(u, v):
+
+# The suite reads star-assoc off eq1-eq3 where every star tuple it would
+# read splits into the < tuple and the > tuple, and sums it elsewhere.
+# The products below are wrong where the six above do not reach, or
+# break that split; each must still give what product_sum gives.
+
+
+@pytest.mark.parametrize("op, wrong", [("*", "drop"), ("<", "repeat")])
+def test_axioms_wrong_at_the_top_degree_match_product_sum(monkeypatch, op, wrong):
+    # u, the tree of a<(b<(a<b)), and z = a have degree sum equal to the
+    # bound, so u*z is read by star-assoc alone and u<z by the left side
+    # of eq1 alone
+    u, z = parse_pbt("(* a (* b (* a (* b *))))"), parse_pbt("(* a *)")
+    assert _mutate(monkeypatch, {op: _wrong_on(u, z, wrong)})
+
+
+@pytest.mark.parametrize("wrong", ["far", "drop"])
+def test_axioms_prec_and_star_wrong_alike_match_product_sum(monkeypatch, wrong):
+    # a<b and a*b gain the same degree-5 tree, or lose the same tree, so
+    # the split holds on every pair.  With the far tree a tabled star
+    # tuple leaves the basis of its degree; with the dropped one every
+    # premise holds, and only eq1-eq3 failing on a triple sends
+    # star-assoc to the sum there
+    a, b = parse_pbt("(* a *)"), parse_pbt("(* b *)")
+    far = parse_pbt("(* a (* b (* a (* b (* a *)))))")
+    prec, succ = (dendriform._PRODUCTS[op][0] for op in "<>")
+
+    def wrong_prec(original, u, v):
         out = original(u, v)
-        if u is t and v is s:
-            return out[1:] if wrong == "drop" else out + out[:1]
+        if u is a and v is b:
+            return out + (far,) if wrong == "far" else out[1:]
         return out
 
-    monkeypatch.setitem(dendriform._PRODUCTS, op, (mutated, unit_rule))
-    expected = old_suite_axioms(5)[1]
-    assert expected
-    assert run_suite("axioms", 5)["defects"] == expected
+    def wrong_star(original, u, v):
+        return wrong_prec(prec, u, v) + succ(u, v)
+
+    assert _mutate(monkeypatch, {"<": wrong_prec, "*": wrong_star})
+
+
+def test_axioms_star_wrong_off_the_basis_match_product_sum(monkeypatch, fresh_tree_caches):
+    # the products carried along the swap of a<b with the tree c<b off
+    # the basis form a dendriform algebra isomorphic to the free one, so
+    # eq1-eq3 hold on every triple and the split on every basis pair;
+    # (c<b)*a, read by star-assoc on (a, b, a) alone, is wrong.  Only
+    # the basis check on a*b keeps the suite from deriving star-assoc
+    u, w, a = parse_pbt("(* a (* b *))"), parse_pbt("(* c (* b *))"), parse_pbt("(* a *)")
+    swap = {u: w, w: u}
+
+    def carried(original, s, t):
+        return tuple(swap.get(v, v) for v in original(swap.get(s, s), swap.get(t, t)))
+
+    def star(original, s, t):
+        out = carried(original, s, t)
+        return out[1:] if s is w and t is a else out
+
+    expected = _mutate(monkeypatch, {"<": carried, ">": carried, "*": star})
+    assert expected == [{"axiom": "star-assoc", "triple": ["(* a *)", "(* b *)", "(* a *)"]}]
+
+
+def test_axioms_sum_star_assoc_only_where_the_split_fails(monkeypatch):
+    # with the free products eq1-eq3 decide star-assoc on every triple.
+    # A star tuple that puts the > tuple before the < tuple breaks no
+    # identity but every split, so star-assoc is summed on every triple
+    calls = []
+    sides_agree = suites._sides_agree
+
+    def counted(*sides):
+        calls.append(None)
+        return sides_agree(*sides)
+
+    monkeypatch.setattr(suites, "_sides_agree", counted)
+    triples = run_suite("axioms", 5)["result"]["triples"]
+    assert len(calls) == 3 * triples
+    calls.clear()
+    prec, succ = (dendriform._PRODUCTS[op][0] for op in "<>")
+    assert _mutate(monkeypatch, {"*": lambda star, u, v: succ(u, v) + prec(u, v)}) == []
+    assert len(calls) == 4 * triples
 
 
 def test_product_cache_holds_table_nodes():
