@@ -12,7 +12,7 @@ omit the unique ghost term whose both right legs are the unit.
 
 from functools import lru_cache
 
-from treealg.linalg import LinComb, Span, kernel_basis
+from treealg.linalg import LinComb, kernel_basis
 from treealg.trees import LEAF, PBT, generator_names, pbt_basis
 from treealg.dendriform import (
     DendElement,
@@ -117,20 +117,10 @@ def primitives(degree: int, alphabet) -> list:
     # expression-string order puts the < combs first, so the echelon
     # pivots land on them and printed bases read like a<a - a>a
     basis = sorted(pbt_basis(degree, alphabet), key=pbt_expr)
-    images = [
-        LinComb(
-            ((l, r), c)
-            for (l, r), c in _delta_tree(t).terms.items()
-            if not l.is_leaf() and not r.is_leaf()
-        )
-        for t in basis
-    ]
-    span = Span(basis)
-    for v in kernel_basis(basis, images):
-        span.insert(v)
-    return [DendElement(b) for b in span.basis()]
-
-
-def primitive_dims(alphabet, max_degree: int):
-    return {n: len(primitives(n, alphabet)) for n in range(1, max_degree + 1)}
-
+    images = [reduced_coproduct(DendElement.from_tree(t)) for t in basis]
+    # over the reversed columns each kernel vector is 1 at its free
+    # column and nonzero only at pivots before it: read back in basis
+    # order it leads with its free column, with coefficient 1, and is 0
+    # at every other free column, which is the reduced echelon basis
+    kernel = kernel_basis(basis[::-1], images[::-1])[::-1]
+    return [DendElement(v) for v in kernel]

@@ -436,8 +436,9 @@ def build_envelope(b: BraceStructure, bound: int, slack: int = 1) -> TruncatedQu
 
 
 def envelope_primitives(q: TruncatedQuotient):
-    """Kernel of the reduced quotient coproduct on the class basis, and
-    the check of Prim U(B) = B up to the bound.
+    """Kernel of the reduced quotient coproduct on the class basis, in
+    reduced echelon form over the class trees, and the check of
+    Prim U(B) = B up to the bound.
 
     Returns (primitive elements, dims by top degree, defects): one
     {"case": "primitives", "count", "letters"} entry unless the
@@ -453,7 +454,8 @@ def envelope_primitives(q: TruncatedQuotient):
         - TensorSquareElement.from_product(DendElement.one(), q.class_of(t))
         for t in classes
     ]
-    elems = [DendElement(v) for v in kernel_basis(classes, images)]
+    # reversed columns give the reduced echelon basis, as in primitives
+    elems = [DendElement(v) for v in kernel_basis(classes[::-1], images[::-1])[::-1]]
     dims = {}
     for e in elems:
         d = q.span.top_wdeg(e)
@@ -493,12 +495,7 @@ def harvest_brace(n_gens: int, max_degree: int):
     names = ["p%d" % (i + 1) for i in range(len(prims))]
     # pivot tree of each primitive (the echelon pivot): coordinates of a
     # homogeneous primitive vector read off at the pivots
-    pivots = []
-    for p in prims:
-        terms = sorted(p.terms.items(), key=lambda kv: pbt_expr(kv[0]))
-        pivots.append(terms[0][0])
-        if terms[0][1] != 1:
-            raise HarvestError("primitive %s is not monic at its pivot" % p)
+    pivots = [min(p.terms, key=pbt_expr) for p in prims]
 
     def express(e: DendElement) -> LinComb:
         coords = LinComb((i, e.coeff(pivots[i])) for i in range(len(prims)))

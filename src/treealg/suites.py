@@ -33,7 +33,6 @@ from treealg import bialgebra, dendriform
 from treealg.bialgebra import (
     compat_defect,
     coproduct,
-    primitive_dims,
     primitives,
     reduced_coproduct,
     TensorSquareElement,
@@ -419,16 +418,13 @@ def suite_primitives_closed(bound=4):
     """Primitive dimensions are the Catalan numbers, and braces of
     primitives stay primitive."""
     defects = []
-    dims = primitive_dims(1, bound + 1)
+    by_degree = {n: primitives(n, 1) for n in range(1, bound + 2)}
+    dims = {n: len(ps) for n, ps in by_degree.items()}
     expected = {n: catalan(n - 1) for n in range(1, bound + 2)}
     if dims != expected:
         defects.append({"case": "dims", "got": dims, "expected": expected})
-    prims = []
-    degrees = []
-    for d in range(1, bound):
-        for p in primitives(d, 1):
-            prims.append(p)
-            degrees.append(d)
+    prims = [p for d in range(1, bound) for p in by_degree[d]]
+    degrees = [d for d in range(1, bound) for _ in by_degree[d]]
     brace_checks = 0
     for arity in range(2, bound + 1):
         for combo in env.weighted_tuples(degrees, arity, bound):

@@ -2,21 +2,22 @@ from fractions import Fraction
 
 import pytest
 
-from treealg.linalg import LinComb, kernel_basis
-from treealg.trees import LEAF, parse_pbt, pbt_basis
+from treealg import _kernel
+from treealg.linalg import LinComb, Span, kernel_basis
+from treealg.trees import LEAF, generator_names, parse_pbt, pbt_basis
 from treealg.dendriform import (
     DEND_ONE,
     DendElement,
     dprec,
     dstar,
     dsucc,
+    pbt_expr,
     upcomb,
 )
 from treealg.bialgebra import (
     TensorSquareElement,
     compat_defect,
     coproduct,
-    primitive_dims,
     primitives,
     reduced_coproduct,
 )
@@ -172,7 +173,36 @@ def test_reduced_coproduct_degree2_kernel():
 
 
 def test_primitive_dims_catalan():
-    assert primitive_dims(1, 5) == {1: 1, 2: 1, 3: 2, 4: 5, 5: 14}
+    assert [len(primitives(n, 1)) for n in range(1, 6)] == [1, 1, 2, 5, 14]
+
+
+@pytest.mark.parametrize("gens, top", [(1, 6), (2, 4), (3, 3)])
+def test_primitives_are_the_reduced_echelon_kernel(gens, top):
+    for degree in range(1, top + 1):
+        basis = sorted(pbt_basis(degree, generator_names(gens)), key=pbt_expr)
+        images = [reduced_coproduct(DendElement.from_tree(t)) for t in basis]
+        # the second elimination fixes the answer: the unique basis in
+        # reduced echelon form over the tree order
+        span = Span(basis)
+        for v in kernel_basis(basis, images):
+            span.insert(v)
+        want = [DendElement(v) for v in span.basis()]
+        got = primitives(degree, gens)
+        assert got == want and [str(p) for p in got] == [str(p) for p in want]
+        assert all(reduced_coproduct(p).is_zero() for p in got)
+
+
+def test_primitives_run_one_elimination(monkeypatch):
+    calls = []
+    rref = _kernel.rref
+
+    def counted(mat):
+        calls.append(None)
+        return rref(mat)
+
+    monkeypatch.setattr(_kernel, "rref", counted)
+    assert len(primitives(5, 1)) == 14
+    assert len(calls) == 1
 
 
 def test_primitives_echelon_deterministic():

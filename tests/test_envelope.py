@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from treealg.linalg import LinComb
+from treealg.linalg import LinComb, Span, kernel_basis
 from treealg.dendriform import (
     DendElement,
     DendSpan,
@@ -51,6 +51,14 @@ def weighted_inhomogeneous_brace():
     return BraceStructure(3, ["x", "y", "u"], products, weights=[1, 1, 2])
 
 
+def heavy_value_brace():
+    """{a|a} = b with b of weight 3, heavier than its tuple.  It is
+    invalid on purpose: its envelope has primitives beyond the letters,
+    combinations of class trees that kernel_basis alone does not give
+    in reduced echelon form."""
+    return BraceStructure(2, ["a", "b"], {(0, (0,)): LinComb.single(1)}, weights=[1, 3])
+
+
 def invalid_brace():
     """{b|b} = b together with {b|b,b} = b breaks the (1,1) relation."""
     return BraceStructure(
@@ -88,6 +96,7 @@ def test_brace_fixtures_are_labeled_by_validity():
     assert len(validate_brace(invalid_brace(), 3)) == 1
     assert len(validate_brace(mixed_brace(), 3)) == 2
     assert len(validate_brace(weighted_inhomogeneous_brace(), 3)) == 3
+    assert len(validate_brace(heavy_value_brace(), 3)) == 1
 
 
 def test_validate_skips_unknown_tuples_of_truncated_structures():
@@ -253,6 +262,38 @@ def test_envelope_primitives_trivial():
         assert len(elems) == dim and defects == []
 
 
+def test_envelope_primitives_are_the_reduced_echelon_kernel():
+    cases = [
+        (trivial_brace(2), 4, 1),
+        (harvest_brace(1, 4)[0], 4, 0),
+        (harvest_brace(2, 3)[0], 3, 0),
+        (assoc_brace(), 4, 1),
+        (mixed_brace(), 2, 0),
+        (mixed_brace(), 3, 1),
+        (weighted_inhomogeneous_brace(), 3, 1),
+        (invalid_brace(), 3, 1),
+        (heavy_value_brace(), 4, 0),
+    ]
+    one, tensor = DendElement.one(), TensorSquareElement.from_product
+    for b, bound, slack in cases:
+        q = build_envelope(b, bound, slack)
+        classes = [t for _, trees in sorted(q.quotient_trees().items()) for t in trees]
+        images = [
+            q.coproduct(DendElement.from_tree(t)) - tensor(q.class_of(t), one) - tensor(one, q.class_of(t))
+            for t in classes
+        ]
+        # the second elimination fixes the answer: the unique basis in
+        # reduced echelon form over the class trees
+        span = Span(classes)
+        for v in kernel_basis(classes, images):
+            span.insert(v)
+        want = [DendElement(v) for v in span.basis()]
+        got = envelope_primitives(q)[0]
+        assert got == want and [str(p) for p in got] == [str(p) for p in want]
+        for p in got:
+            assert q.coproduct(p) == tensor(p, one) + tensor(one, p)
+
+
 def test_envelope_of_associative_brace():
     b = assoc_brace()
     q = build_envelope(b, 4, slack=1)
@@ -290,7 +331,7 @@ def test_graded_matches_homogeneous_relation_generators():
         assoc_brace(),
         mixed_brace(),
         BraceStructure(2, ["a", "b"], {(0, (0,)): LinComb.single(1)}, weights=[1, 2]),
-        BraceStructure(2, ["a", "b"], {(0, (0,)): LinComb.single(1)}, weights=[1, 3]),
+        heavy_value_brace(),
         # the only inhomogeneous constant has weight 3
         BraceStructure(1, ["a"], {(0, (0, 0)): LinComb.single(0)}),
     ]
