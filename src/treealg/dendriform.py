@@ -322,10 +322,6 @@ class DendSpan:
     def contains(self, e: DendElement) -> bool:
         return self.span.contains(positive_body(e))
 
-    def reduce(self, e: DendElement) -> DendElement:
-        """Canonical representative of e modulo the span (unit part kept)."""
-        return DendElement(self.span.reduce(e))
-
     @property
     def rank(self):
         return self.span.rank

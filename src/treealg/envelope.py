@@ -33,6 +33,7 @@ from treealg.bialgebra import (
     TensorSquareElement,
     coproduct,
     primitives,
+    reduced_coproduct,
 )
 
 
@@ -56,8 +57,8 @@ class BraceStructure:
     (every weight 1) or a list of dim integers >= 1.  products maps
     (root index, argument index tuple) to a LinComb over basis indices;
     tuples absent within the declared bounds are zero.
-    weight_bound, when set, marks the structure as a truncation: tuples
-    of total weight beyond it are unknown and raise on access.
+    weight_bound, an integer >= 1 when set, marks the structure as a
+    truncation: tuples of total weight beyond it are unknown and raise.
     """
 
     def __init__(self, dim, basis, products, weights=None, weight_bound=None):
@@ -96,6 +97,8 @@ class BraceStructure:
             isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in self.weights
         ):
             raise BraceError("weights must be a list of %d integers >= 1, got %r" % (dim, self.weights))
+        if weight_bound is not None and (type(weight_bound) is not int or weight_bound < 1):
+            raise BraceError("weight_bound must be an integer >= 1, got %r" % (weight_bound,))
         self.weight_bound = weight_bound
 
     def tuple_weight(self, root, args) -> int:
@@ -147,14 +150,16 @@ class BraceStructure:
         }
         if any(w != 1 for w in self.weights):
             out["weights"] = self.weights
+        if self.weight_bound is not None:
+            out["weight_bound"] = self.weight_bound
         return out
 
     @classmethod
     def from_json(cls, data) -> "BraceStructure":
         """Parse and validate; any malformed input, a missing key, a
         coefficient that is not an exact rational or a product declared
-        twice included, raises BraceError.
-        Keys other than dim, basis, products and weights are ignored."""
+        twice included, raises BraceError.  Keys other than dim, basis,
+        products, weights and weight_bound are ignored."""
         try:
             products = {}
             for entry in data.get("products", []):
@@ -164,7 +169,7 @@ class BraceStructure:
                 products[key] = LinComb(
                     (item["index"], _exact_coeff(item["coeff"])) for item in entry["value"]
                 )
-            return cls(data["dim"], data["basis"], products, weights=data.get("weights"))
+            return cls(data["dim"], data["basis"], products, data.get("weights"), data.get("weight_bound"))
         except BraceError:
             raise
         except KeyError as exc:
@@ -342,7 +347,7 @@ class TruncatedQuotient:
         """Canonical representative modulo the truncated ideal."""
         if self.span.top_wdeg(e) > self.span.cutoff:
             raise BraceError("degree overflow: element exceeds the truncation")
-        return self.span.reduce(e)
+        return DendElement(self.span.span.reduce(e))
 
     def dims(self):
         """Filtration dimensions: degree 0 is the unit line."""
@@ -409,12 +414,15 @@ def build_envelope(b: BraceStructure, bound: int, slack: int = 1) -> TruncatedQu
     unstable truncation is a defect of report().
 
     b is not checked against the brace relations; callers that need it
-    run validate_brace first, as the envelope CLI verb does.
+    run validate_brace first, as the envelope CLI verb does.  A
+    truncation (weight_bound set) is refused beyond its weight_bound.
     """
     if bound < 1 or slack < 0:
         raise BraceError(
             "an envelope needs bound >= 1 and slack >= 0, got %r and %r" % (bound, slack)
         )
+    if b.weight_bound is not None and bound > b.weight_bound:
+        raise BraceError("structure constants unknown beyond total weight %d" % b.weight_bound)
     letters = b.letters()
     reach = max(bound + slack, 2)
     graded = all(
@@ -435,6 +443,15 @@ def build_envelope(b: BraceStructure, bound: int, slack: int = 1) -> TruncatedQu
     return TruncatedQuotient(b, bound, span, False, _filtration_dims(span_next, bound))
 
 
+def _express(e: DendElement, basis, leads):
+    """(coords, rest): e's coordinates read off at the leads of a reduced
+    echelon basis (each element 1 at its own lead, 0 at the others'), and
+    e minus their combination, zero exactly when e lies in their span."""
+    coords = LinComb((i, e.coeff(leads[i])) for i in range(len(basis)))
+    rest = DendElement.sum([(e, 1)] + [(basis[i], -c) for i, c in coords.terms.items()])
+    return coords, rest
+
+
 def envelope_primitives(q: TruncatedQuotient):
     """Kernel of the reduced quotient coproduct on the class basis, in
     reduced echelon form over the class trees, and the check of
@@ -448,12 +465,8 @@ def envelope_primitives(q: TruncatedQuotient):
     in _relations order) that does not reduce to 0.
     """
     classes = [t for _, trees in sorted(q.quotient_trees().items()) for t in trees]
-    images = [
-        q.coproduct(DendElement.from_tree(t))
-        - TensorSquareElement.from_product(q.class_of(t), DendElement.one())
-        - TensorSquareElement.from_product(DendElement.one(), q.class_of(t))
-        for t in classes
-    ]
+    # a class tree is a non-pivot column, so it is its own class
+    images = [reduced_coproduct(DendElement.from_tree(t)).map_legs(q.class_of) for t in classes]
     # reversed columns give the reduced echelon basis, as in primitives
     elems = [DendElement(v) for v in kernel_basis(classes[::-1], images[::-1])[::-1]]
     dims = {}
@@ -461,14 +474,14 @@ def envelope_primitives(q: TruncatedQuotient):
         d = q.span.top_wdeg(e)
         dims[d] = dims.get(d, 0) + 1
     b = q.brace
-    # a letter reduces along rows pivoted at its own degree, which the
-    # column order keeps in degrees <= its weight: onto the class trees
-    span = Span(classes)
-    for e in elems:
-        span.insert(e)
+    # each element leads with its first class tree; a letter reduces
+    # along rows pivoted at its own degree, which the column order keeps
+    # in degrees <= its weight: onto the class trees
+    order = {t: i for i, t in enumerate(classes)}
+    leads = [min(e.terms, key=order.__getitem__) for e in elems]
     letters = [DendElement.generator(x) for x, w in zip(b.basis, b.weights) if w <= q.bound]
     defects = []
-    if len(elems) != len(letters) or not all(span.contains(q.reduce(x)) for x in letters):
+    if len(elems) != len(letters) or any(_express(q.reduce(x), elems, leads)[1] for x in letters):
         defects.append({"case": "primitives", "count": len(elems), "letters": len(letters)})
     defects += [
         {"case": "structure constants", "root": tup[0], "args": list(tup[1:])}
@@ -493,23 +506,16 @@ def harvest_brace(n_gens: int, max_degree: int):
             prims.append(p)
             weights.append(d)
     names = ["p%d" % (i + 1) for i in range(len(prims))]
-    # pivot tree of each primitive (the echelon pivot): coordinates of a
-    # homogeneous primitive vector read off at the pivots
+    # pivot tree of each primitive (the echelon pivot)
     pivots = [min(p.terms, key=pbt_expr) for p in prims]
-
-    def express(e: DendElement) -> LinComb:
-        coords = LinComb((i, e.coeff(pivots[i])) for i in range(len(prims)))
-        rest = DendElement.sum([(e, 1)] + [(prims[i], -c) for i, c in coords.terms.items()])
-        if not rest.is_zero():
-            raise HarvestError("value %s escaped the primitive span" % e)
-        return coords
-
     products = {}
     for root in range(len(prims)):
         for arity in range(2, max_degree + 1):
             for args in weighted_tuples(weights, arity - 1, max_degree - weights[root]):
                 value = psi_corolla([prims[root]] + [prims[j] for j in args])
-                coords = express(value)
+                coords, rest = _express(value, prims, pivots)
+                if not rest.is_zero():
+                    raise HarvestError("value %s escaped the primitive span" % value)
                 if coords:
                     products[(root, args)] = coords
     b = BraceStructure(

@@ -214,6 +214,12 @@ BAD_BRACES = {
     "empty-args": _brace(products=[_product(args=())]),
     "weights-length": _brace(weights=[1, 2]),
     "weights-below-1": _brace(weights=[0]),
+    "weight-bound-bool": _brace(weight_bound=True),
+    "weight-bound-float": _brace(weight_bound=2.0),
+    "weight-bound-string": _brace(weight_bound="2"),
+    "weight-bound-zero": _brace(weight_bound=0),
+    # a truncation at weight 1 cannot answer for the envelope at bound 2
+    "weight-bound-below-the-bound": _brace(weight_bound=1),
     "root-out-of-range": _brace(products=[_product(root=-1)]),
     "arg-out-of-range": _brace(products=[_product(args=(5,))]),
     "value-out-of-range": _brace(products=[_product(index=1)]),
@@ -476,6 +482,8 @@ def brace_docs(draw):
     doc = {"dim": dim, "basis": ["a", "b", "c"][:dim], "products": draw(st.lists(product, max_size=3))}
     if draw(st.booleans()):
         doc["weights"] = draw(st.lists(st.integers(1, 2), min_size=dim, max_size=dim))
+    if draw(st.booleans()):
+        doc["weight_bound"] = draw(st.integers(1, 3))
     places = [doc] + doc["products"] + [v for p in doc["products"] for v in p["value"]]
     if draw(st.booleans()):
         target = draw(st.sampled_from(places))

@@ -294,6 +294,35 @@ def test_envelope_primitives_are_the_reduced_echelon_kernel():
             assert q.coproduct(p) == tensor(p, one) + tensor(one, p)
 
 
+def test_express_reads_coordinates_off_the_leads():
+    # a hand-made reduced echelon basis: each element is 1 at its own
+    # lead and 0 at the other's
+    B, C = DendElement.generator("b"), DendElement.generator("c")
+    basis = [A + C.scale(2), B - C]
+    leads = [PBT(LEAF, "a", LEAF), PBT(LEAF, "b", LEAF)]
+    inside = basis[0].scale(3) - basis[1]
+    coords, rest = envelope._express(inside, basis, leads)
+    assert coords == LinComb({0: 3, 1: -1}) and rest.is_zero()
+    coords, rest = envelope._express(inside + C, basis, leads)
+    assert coords == LinComb({0: 3, 1: -1}) and rest == C
+    coords, rest = envelope._express(C, basis, leads)
+    assert coords.is_zero() and rest == C
+
+
+def test_letter_off_the_primitive_span_is_a_defect():
+    # as many primitives as letters, but the letter a of weight 2 is
+    # identified with b<b, which is not primitive: the count passes, and
+    # only the letter check finds the defect
+    b = BraceStructure(2, ["b", "a"], {}, weights=[1, 2])
+    span = DendSpan(list(b.letters()), 2, weights=b.letters())
+    B = DendElement.generator("b")
+    span.insert(DendElement.generator("a") - dprec(B, B))
+    q = envelope.TruncatedQuotient(b, 2, span, True)
+    elems, _, defects = envelope_primitives(q)
+    assert len(elems) == 2
+    assert defects[0] == {"case": "primitives", "count": 2, "letters": 2}
+
+
 def test_envelope_of_associative_brace():
     b = assoc_brace()
     q = build_envelope(b, 4, slack=1)
@@ -383,9 +412,11 @@ def test_brace_structure_json_roundtrip(tmp_path):
     again = BraceStructure.from_json(data)
     assert again.dim == b.dim and again.products == b.products
     assert again.weights == b.weights
+    assert again.weight_bound == b.weight_bound == 3
     path = tmp_path / "brace.json"
     path.write_text(json.dumps(data))
-    assert BraceStructure.load(path).products == b.products
+    loaded = BraceStructure.load(path)
+    assert loaded.products == b.products and loaded.weight_bound == 3
 
 
 def test_from_json_ignores_max_arity():
@@ -402,6 +433,8 @@ def test_bad_arguments_raise_brace_error():
         build_envelope(b, 0)
     with pytest.raises(BraceError):
         build_envelope(b, 2, slack=-1)
+    with pytest.raises(BraceError):
+        build_envelope(harvest_brace(1, 2)[0], 3)
     for dim in (True, 1.0):
         with pytest.raises(BraceError, match="dim must be an integer"):
             BraceStructure(dim, ["a"], {})

@@ -5,8 +5,9 @@ argument check in the library is an assert, which python -O strips,
 no loop in the library rebuilds a sum term by term, one function
 expands the brace relation, one parser reads every text grammar, one
 method decides an envelope's defects, one table builds every binary
-tree and weighted degrees are read from DendSpan's table rather than
-from a walk of each tree's decorations."""
+tree, weighted degrees are read from DendSpan's table rather than
+from a walk of each tree's decorations, TruncatedQuotient.reduce is the
+one caller of Span.reduce and envelope_primitives builds no Span."""
 
 import ast
 import importlib
@@ -225,6 +226,49 @@ def test_decorations_walked_off_the_hot_path():
         for owner in _owners(ast.parse(path.read_text(), str(path)), _walks_decorations)
     )
     assert found == [("dendriform.py", "s_closure"), ("dendriform.py", "wdeg"), ("operads.py", "_graft")]
+
+
+def _reads_off_a_quotient(node) -> bool:
+    """node is a call x.reduce(...) with x neither q nor self."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "reduce"
+        and ast.unparse(node.func.value) not in ("q", "self")
+    )
+
+
+def test_one_caller_of_span_reduce():
+    # the quotient's normal form is read in one place, so a span traced
+    # around TruncatedQuotient.reduce sees every read: reduce is a method
+    # of Span and TruncatedQuotient only, q names a quotient wherever the
+    # library holds one, and self.reduce is called inside the quotient
+    defines, found = set(), []
+    for path in sorted((ROOT / "src" / "treealg").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defines |= {
+            cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for f in cls.body
+            if isinstance(f, ast.FunctionDef) and f.name == "reduce"
+        }
+        found += [(path.name, owner) for owner in _owners(tree, _reads_off_a_quotient)]
+    assert defines == {"Span", "TruncatedQuotient"}
+    assert found == [("envelope.py", "reduce")]
+
+
+def test_envelope_primitives_builds_no_span():
+    # its primitives are in reduced echelon form over the class trees,
+    # so a letter's coordinates are read off their leads
+    path = ROOT / "src" / "treealg" / "envelope.py"
+    found = set(
+        _owners(
+            ast.parse(path.read_text(), str(path)),
+            lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "Span",
+        )
+    )
+    assert "envelope_primitives" not in found
 
 
 OPTIMIZED_CHECKS = """
