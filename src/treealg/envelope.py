@@ -364,6 +364,12 @@ class TruncatedQuotient:
         return out
 
     def class_of(self, t) -> DendElement:
+        """reduce of the tree t.  A column that is not a pivot, LEAF among
+        them, is 0 at every pivot and is its own class."""
+        span = self.span.span
+        i = span.index.get(t)
+        if i is not None and i not in span.echelon.rows:
+            return DendElement.from_tree(t)
         return self.reduce(DendElement.from_tree(t))
 
     def coproduct(self, e: DendElement) -> TensorSquareElement:

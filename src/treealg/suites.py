@@ -6,9 +6,8 @@ from itertools import permutations, product
 from math import factorial
 
 from treealg.linalg import LinComb, Span
-from treealg.trees import catalan, generator_names, parse_rooted, pbt_basis, planar_trees, rooted_trees
+from treealg.trees import LEAF, catalan, generator_names, parse_rooted, pbt_basis, planar_trees, rooted_trees
 from treealg.dendriform import (
-    DEND_ONE,
     DendElement,
     downcomb,
     dprec,
@@ -100,8 +99,18 @@ def suite_axioms(bound=5):
     to satisfy star-split, x*y = x<y + x>y.  The products are bilinear,
     so star-split on (y, z) and (x, y) turns the star form into the
     expanded one, x<(y*z) = x<(y<z) + x<(y>z) and
-    (x*y)>z = (x<y)>z + (x>y)>z: the two check the same thing.  The
-    unit laws are checked on every basis tree of degree at most bound.
+    (x*y)>z = (x<y)>z + (x>y)>z: the two check the same thing.
+
+    The unit laws 1>x = x, x<1 = x, 1<x = 0 and x>1 = 0 are checked on
+    every basis tree t of degree at most bound, on the tuples of the unit
+    rules of < and >: the tree is good when 1>t and t<1 are the tuple
+    (t,) and 1<t and t>1 are empty.  product_sum, the bilinear extension
+    of the rules that the triple loop also rests on, adds the coefficient
+    1*1*1 to each tree of a rule's tuple and never cancels, so an element
+    product with the unit equals the tree exactly when the tuple is the
+    multiset {t}, and is zero exactly when the tuple is empty: the
+    verdict is the one the element products give.  tuple() reads a rule
+    that returns a list or a generator as product_sum does.
 
     Star-assoc is not summed where the other three decide it.  Write
     L1, R1, ..., L3, R3 for the two sides of eq1-eq3 as multisets of
@@ -174,16 +183,16 @@ def suite_axioms(bound=5):
                                 defects.append({"axiom": name, "triple": [str(t1), str(t2), str(t3)]})
                         if not derived and not _sides_agree(xy_star, star, t3, t1, star, yz_star):
                             defects.append({"axiom": "star-assoc", "triple": [str(t1), str(t2), str(t3)]})
+    unit_prec, unit_succ = (dendriform._PRODUCTS[op][1] for op in "<>")
     units_checked = 0
     for d in range(1, bound + 1):
         for t in trees[d]:
-            x = DendElement.from_tree(t)
             units_checked += 1
             good = (
-                dsucc(DEND_ONE, x) == x
-                and dprec(x, DEND_ONE) == x
-                and dprec(DEND_ONE, x).is_zero()
-                and dsucc(x, DEND_ONE).is_zero()
+                tuple(unit_succ(LEAF, t)) == (t,)
+                and tuple(unit_prec(t, LEAF)) == (t,)
+                and not tuple(unit_prec(LEAF, t))
+                and not tuple(unit_succ(t, LEAF))
             )
             if not good:
                 defects.append({"axiom": "unit", "element": str(t)})

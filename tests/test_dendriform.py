@@ -157,13 +157,16 @@ def old_suite_axioms(bound=5):
     return {"triples": checked, "unit_checks": units_checked}, defects
 
 
-def _mutate(monkeypatch, mutants):
-    """Replace each tree product op of mutants by mutants[op](original,
-    u, v); return the defects of old_suite_axioms(5), after checking that
-    the suite reports the same ones in the same order."""
+def _mutate(monkeypatch, mutants, unit=False):
+    """Replace each tree product op of mutants, or with unit set its unit
+    rule, by mutants[op](original, u, v); return the defects of
+    old_suite_axioms(5), after checking that the suite reports the same
+    ones in the same order."""
+    slot = 1 if unit else 0
     for op, mutated in mutants.items():
-        original, unit_rule = dendriform._PRODUCTS[op]
-        monkeypatch.setitem(dendriform._PRODUCTS, op, (partial(mutated, original), unit_rule))
+        rules = list(dendriform._PRODUCTS[op])
+        rules[slot] = partial(mutated, rules[slot])
+        monkeypatch.setitem(dendriform._PRODUCTS, op, tuple(rules))
     expected = old_suite_axioms(5)[1]
     assert run_suite("axioms", 5)["defects"] == expected
     return expected
@@ -268,6 +271,49 @@ def test_axioms_sum_star_assoc_only_where_the_split_fails(monkeypatch):
     prec, succ = (dendriform._PRODUCTS[op][0] for op in "<>")
     assert _mutate(monkeypatch, {"*": lambda star, u, v: succ(u, v) + prec(u, v)}) == []
     assert len(calls) == 4 * triples
+
+
+@pytest.mark.parametrize("op", ["<", ">"])
+@pytest.mark.parametrize("wrong", ["drop", "repeat", "other", "extra", "list", "generator"])
+def test_axioms_unit_laws_on_tuples_match_product_sum(monkeypatch, op, wrong):
+    # the suite reads the unit laws off the unit rules' tuples; with a
+    # rule wrong on one tree it must report what the products with 1
+    # report.  A list or a generator of the right trees is no defect
+    t = parse_pbt("(* a (* b (* a (* b (* a *)))))")
+    other = parse_pbt("(* b (* a (* b (* a (* b *)))))")
+    wrongs = {
+        "drop": lambda out: (),
+        "repeat": lambda out: out + out,
+        "other": lambda out: tuple(other if u is t else u for u in out),
+        "extra": lambda out: out + (other,),
+        "list": list,
+        "generator": lambda out: (u for u in out),
+    }
+
+    def mutated(original, u, v):
+        out = original(u, v)
+        return wrongs[wrong](out) if t in (u, v) else out
+
+    expected = [] if wrong in ("list", "generator") else [{"axiom": "unit", "element": str(t)}]
+    assert _mutate(monkeypatch, {op: mutated}, unit=True) == expected
+
+
+def test_axioms_multiply_elements_only_for_star_split(monkeypatch):
+    # the identities are read off the cached tuples and the unit laws off
+    # the unit rules, so product_sum runs only in the star-split check:
+    # x<y, x>y and x*y for each tabled pair, degree sum below the bound
+    calls = []
+    original = dendriform.product_sum
+
+    def counted(parts):
+        calls.append(None)
+        return original(parts)
+
+    monkeypatch.setattr(dendriform, "product_sum", counted)
+    run_suite("axioms", 5)
+    sizes = {d: len(pbt_basis(d, ["a", "b"])) for d in range(1, 4)}
+    pairs = sum(sizes[d1] * sizes[d2] for d1, d2 in product(sizes, repeat=2) if d1 + d2 < 5)
+    assert len(calls) == 3 * pairs
 
 
 def test_product_cache_holds_table_nodes():

@@ -159,6 +159,16 @@ def test_envelope_degree_overflow():
         q.reduce(upcomb([A, A, A, A]))
 
 
+def test_class_of_is_reduce_on_every_column():
+    # class_of returns a non-pivot column, LEAF among them, without
+    # reducing it; a tree off the columns still overflows in reduce
+    q = build_envelope(trivial_brace(2), 4, 0)
+    for t in q.span.span.columns:
+        assert q.class_of(t) == q.reduce(DendElement.from_tree(t)), str(t)
+    with pytest.raises(BraceError):
+        q.class_of(next(iter(upcomb([A] * 5).terms)))
+
+
 def old_wdeg(span, t):
     """The weighted degree as DendSpan computed it before its table."""
     return sum(span.weights[a] for a in t.decorations())
