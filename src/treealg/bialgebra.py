@@ -118,9 +118,4 @@ def primitives(degree: int, alphabet) -> list:
     # pivots land on them and printed bases read like a<a - a>a
     basis = sorted(pbt_basis(degree, alphabet), key=pbt_expr)
     images = [reduced_coproduct(DendElement.from_tree(t)) for t in basis]
-    # over the reversed columns each kernel vector is 1 at its free
-    # column and nonzero only at pivots before it: read back in basis
-    # order it leads with its free column, with coefficient 1, and is 0
-    # at every other free column, which is the reduced echelon basis
-    kernel = kernel_basis(basis[::-1], images[::-1])[::-1]
-    return [DendElement(v) for v in kernel]
+    return [DendElement(v) for v in kernel_basis(basis, images)]

@@ -275,8 +275,9 @@ def positive_body(e: DendElement) -> DendElement:
 class DendSpan:
     """Truncated subspace of the positive part of the free algebra.
 
-    Columns are all basis trees of weighted degree <= cutoff over the
-    alphabet, ordered by (degree descending, canonical string): a row in
+    letters maps each letter to its weight, an integer >= 1.  Columns
+    are all basis trees of weighted degree <= cutoff over the letters,
+    ordered by (degree descending, canonical string): a row in
     echelon form is then supported in degrees <= the degree of its pivot
     column, so per-degree ranks of a saturated ideal read off directly.
     LEAF, the unit, is the last column; positive_body keeps it out of
@@ -287,19 +288,17 @@ class DendSpan:
     every subtree before the trees built from it, so each entry is
     wdegs[left] + weight of the label + wdegs[right].  wdeg() sums the
     decorations' weights only for a tree off the table: above the
-    cutoff, or on a letter outside the alphabet (KeyError if it has no
+    cutoff, or on a letter outside the letters (KeyError if it has no
     weight).
     """
 
-    def __init__(self, alphabet, cutoff, weights=None):
-        self.alphabet = list(alphabet)
+    def __init__(self, letters, cutoff):
         self.cutoff = cutoff
-        self.weights = dict(weights) if weights else {a: 1 for a in self.alphabet}
-        for a in self.alphabet:
-            w = self.weights.get(a)
+        self.weights = dict(letters)
+        for a, w in self.weights.items():
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise ValueError("letter %r has weight %r, not an integer >= 1" % (a, w))
-        trees = weighted_pbt_basis(self.alphabet, self.weights, cutoff)
+        trees = weighted_pbt_basis(list(self.weights), self.weights, cutoff)
         wdegs = self.wdegs = {LEAF: 0}
         for t in trees:
             wdegs[t] = wdegs[t.left] + self.weights[t.label] + wdegs[t.right]
@@ -393,16 +392,6 @@ class DendSpan:
                         if row is not None:
                             work.append(row)
         return self
-
-
-def s_closure(seeds, degree_bound, alphabet=None, weights=None) -> DendSpan:
-    """Dendriform ideal generated by the seeds, truncated to the bound."""
-    seeds = list(seeds)
-    if alphabet is None:
-        alphabet = sorted({a for e in seeds for t in e.terms for a in t.decorations()})
-    span = DendSpan(alphabet, degree_bound, weights)
-    span.saturate(seeds)
-    return span
 
 
 def pbt_expr(t) -> str:

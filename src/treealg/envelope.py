@@ -24,7 +24,6 @@ from treealg.dendriform import (
     eval_pbt,
     pbt_expr,
     psi_corolla,
-    s_closure,
     substitute,
     upcomb,
 )
@@ -312,30 +311,22 @@ def relation_generators(b: BraceStructure, degree_bound: int):
     return [rel for _, rel in _relations(b, degree_bound)]
 
 
-def _filtration_dims(span: DendSpan, bound) -> dict:
-    """Quotient dimension per weighted degree up to bound; degree 0 is
-    the unit line."""
-    cols = {}
-    for t in span.span.columns:
-        w = span.wdegs[t]
-        cols[w] = cols.get(w, 0) + 1
-    ranks = span.degree_dims()
-    out = {0: 1}
-    for d in range(1, bound + 1):
-        out[d] = cols.get(d, 0) - ranks.get(d, 0)
-    return out
-
-
 class TruncatedQuotient:
     """Degree-truncated envelope: quotient of the free dendriform
     algebra on the brace basis by the saturated relation ideal.
 
+    classes is the class table: every column of the span that is not a
+    pivot, LEAF among them, with its weighted degree, in column order.
+    Such a column is 0 at every pivot, so it is its own class, and the
+    class trees of degree <= bound are a basis of the quotient.
     graded, dims_next and stable are set as build_envelope documents."""
 
     def __init__(self, brace, bound, span: DendSpan, graded, dims_next=None):
         self.brace = brace
         self.bound = bound
         self.span = span
+        pivots = set(span.span.pivot_keys())
+        self.classes = {t: span.wdegs[t] for t in span.span.columns if t not in pivots}
         self.graded = graded
         self.dims_next = dims_next
         self.stable = graded or self.dims() == dims_next
@@ -351,32 +342,33 @@ class TruncatedQuotient:
 
     def dims(self):
         """Filtration dimensions: degree 0 is the unit line."""
-        return _filtration_dims(self.span, self.bound)
+        out = dict.fromkeys(range(self.bound + 1), 0)
+        for d in self.classes.values():
+            if d <= self.bound:
+                out[d] += 1
+        return out
 
     def quotient_trees(self):
-        """Non-pivot basis trees (class representatives) per degree."""
-        pivots = set(self.span.span.pivot_keys())
+        """Class trees per degree 1..bound, in column order."""
         out = {}
-        for t in self.span.span.columns:
-            d = self.span.wdegs[t]
-            if 0 < d <= self.bound and t not in pivots:
+        for t, d in self.classes.items():
+            if 0 < d <= self.bound:
                 out.setdefault(d, []).append(t)
         return out
 
     def class_of(self, t) -> DendElement:
-        """reduce of the tree t.  A column that is not a pivot, LEAF among
-        them, is 0 at every pivot and is its own class."""
-        span = self.span.span
-        i = span.index.get(t)
-        if i is not None and i not in span.echelon.rows:
+        """reduce of the tree t, read off the class table when t is a
+        class tree."""
+        if t in self.classes:
             return DendElement.from_tree(t)
         return self.reduce(DendElement.from_tree(t))
 
     def coproduct(self, e: DendElement) -> TensorSquareElement:
-        """Coproduct computed upstairs, both tensor legs reduced."""
+        """Coproduct of a class (an element in normal form, as reduce
+        returns it), computed upstairs, both tensor legs reduced."""
         if self.span.top_wdeg(e) > self.bound:
             raise BraceError("degree overflow: coproduct is reported up to the bound")
-        return coproduct(self.reduce(e)).map_legs(self.class_of)
+        return coproduct(e).map_legs(self.class_of)
 
     def verify_coideal(self):
         """Reduce the coproduct of every ideal basis row in the quotient
@@ -439,14 +431,13 @@ def build_envelope(b: BraceStructure, bound: int, slack: int = 1) -> TruncatedQu
     )
     if graded:
         gens = relation_generators(b, max(bound, 2))
-        span = s_closure(gens, bound, alphabet=list(letters), weights=letters)
-        return TruncatedQuotient(b, bound, span, True)
+        return TruncatedQuotient(b, bound, DendSpan(letters, bound).saturate(gens), True)
     # saturate() skips the generators above its cutoff, so one list
     # serves both runs
     gens = relation_generators(b, bound + slack + 1)
-    span = s_closure(gens, bound + slack, alphabet=list(letters), weights=letters)
-    span_next = s_closure(gens, bound + slack + 1, alphabet=list(letters), weights=letters)
-    return TruncatedQuotient(b, bound, span, False, _filtration_dims(span_next, bound))
+    span = DendSpan(letters, bound + slack).saturate(gens)
+    next_run = TruncatedQuotient(b, bound, DendSpan(letters, bound + slack + 1).saturate(gens), False)
+    return TruncatedQuotient(b, bound, span, False, next_run.dims())
 
 
 def _express(e: DendElement, basis, leads):
@@ -473,8 +464,7 @@ def envelope_primitives(q: TruncatedQuotient):
     classes = [t for _, trees in sorted(q.quotient_trees().items()) for t in trees]
     # a class tree is a non-pivot column, so it is its own class
     images = [reduced_coproduct(DendElement.from_tree(t)).map_legs(q.class_of) for t in classes]
-    # reversed columns give the reduced echelon basis, as in primitives
-    elems = [DendElement(v) for v in kernel_basis(classes[::-1], images[::-1])[::-1]]
+    elems = [DendElement(v) for v in kernel_basis(classes, images)]
     dims = {}
     for e in elems:
         d = q.span.top_wdeg(e)
@@ -549,7 +539,8 @@ def theta_roundtrip(n_gens: int, bound: int) -> dict:
 
     Reports per-degree dimension equality, per-degree surjectivity of
     the evaluation map, and coproduct intertwining on the up-comb
-    monomials of primitives.
+    monomials of primitives; defects lists each failing degree, then
+    ("surjectivity", degree) and ("intertwining", tuple) entries.
     """
     alphabet = generator_names(n_gens)
     b, prims = harvest_brace(n_gens, bound)
@@ -573,25 +564,24 @@ def theta_roundtrip(n_gens: int, bound: int) -> dict:
             span.insert(theta(DendElement.from_tree(t)))
         surjective[d] = span.rank == len(span.columns)
 
-    intertwined = True
+    unintertwined = []
     for length in range(1, bound + 1):
         for tup in weighted_tuples(b.weights, length, bound):
-            u = upcomb([DendElement.generator(b.basis[i]) for i in tup])
-            lhs = coproduct(theta(q.reduce(u)))
-            rhs = q.coproduct(u).map_legs(lambda t: eval_pbt(t, assign))
-            if lhs != rhs:
-                intertwined = False
+            c = q.reduce(upcomb([DendElement.generator(b.basis[i]) for i in tup]))
+            if coproduct(theta(c)) != q.coproduct(c).map_legs(lambda t: eval_pbt(t, assign)):
+                unintertwined.append(tup)
     return {
         "dims_envelope": [dims[d] for d in sorted(dims)],
         "dims_free": [free_dims[d] for d in sorted(free_dims)],
         "dims_equal": all(dim_equal.values()),
         "surjective": all(surjective.values()),
-        "intertwined": intertwined,
+        "intertwined": not unintertwined,
         "stable": q.stable,
         "defects": [
             d
             for d, ok in sorted(dim_equal.items())
             if not ok
         ]
-        + [("surjectivity", d) for d, ok in sorted(surjective.items()) if not ok],
+        + [("surjectivity", d) for d, ok in sorted(surjective.items()) if not ok]
+        + [("intertwining", tup) for tup in unintertwined],
     }

@@ -316,18 +316,24 @@ class Span:
 
 
 def kernel_basis(columns, images):
-    """Basis of the kernel of the linear map sending columns[j] to the
-    LinComb images[j]: one LinComb over the columns per free column."""
+    """Reduced echelon basis of the kernel of the linear map sending
+    columns[j] to the LinComb images[j], over the column order: one
+    LinComb per free column, in column order, leading with its free
+    column with coefficient 1 and 0 at every other free column.
+
+    The elimination runs over the reversed columns, so its pivots fall
+    on the latest columns, and a kernel vector is 1 at its free column
+    and nonzero only at pivots after it."""
+    n = len(columns)
     rows = {}
-    for j, image in enumerate(images):
+    for j, image in enumerate(reversed(images)):
         for k, c in image.terms.items():
             rows.setdefault(k, {})[j] = c
     ech = _kernel.rref(to_int_row(r) for r in rows.values())
-    out = {free: {free: 1} for free in range(len(columns)) if free not in ech}
+    out = {free: {free: 1} for free in range(n) if free not in ech}
     for p, r in ech.items():
         for k, x in r.items():
             if k != p:
                 # in RREF every non-pivot entry sits in a free column
                 out[k][p] = Fraction(-x, r[p])
-    return [LinComb((columns[i], v[i]) for i in sorted(v)) for v in out.values()]
-
+    return [LinComb((columns[n - 1 - i], v[i]) for i in sorted(v)) for v in reversed(out.values())]

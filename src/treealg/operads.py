@@ -202,27 +202,9 @@ def _graft(outer: DendElement, slot, inner: DendElement) -> DendElement:
     return substitute(outer, assign)
 
 
-class ClosureResult:
-    """Per-arity spans produced by ideal_closure."""
-
-    def __init__(self, max_arity):
-        self.spans = {n: Span(multilinear_basis(n)) for n in range(2, max_arity + 1)}
-
-    def rank(self, n) -> int:
-        return self.spans[n].rank if n in self.spans else 0
-
-    def dims(self):
-        return {n: self.rank(n) for n in sorted(self.spans)}
-
-    def contains(self, n, e: DendElement) -> bool:
-        return self.spans[n].contains(positive_body(e))
-
-    def basis_elements(self, n):
-        return [DendElement(b) for b in self.spans[n].basis()]
-
-
-def ideal_closure(generators, max_arity: int) -> ClosureResult:
-    """Two-sided operad ideal generated by per-arity seeds, per arity.
+def ideal_closure(generators, max_arity: int) -> dict:
+    """Two-sided operad ideal generated by per-arity seeds: {arity: Span}
+    over multilinear_basis(arity), for each arity 2..max_arity.
 
     generators: {arity: [multilinear DendElement, ...]}.  Seeds are
     closed under relabeling up front.  Each newly independent remainder
@@ -243,13 +225,13 @@ def ideal_closure(generators, max_arity: int) -> ClosureResult:
     reaches the fixpoint because products of a span are spanned by
     products of any spanning family.
     """
-    result = ClosureResult(max_arity)
+    spans = {n: Span(multilinear_basis(n)) for n in range(2, max_arity + 1)}
     work = []
 
     def insert(n, e):
         if e.is_zero():
             return
-        row = result.spans[n].insert(positive_body(e))
+        row = spans[n].insert(positive_body(e))
         if row is not None:
             work.append((n, DendElement(row)))
 
@@ -282,11 +264,4 @@ def ideal_closure(generators, max_arity: int) -> ClosureResult:
             x, y = DendElement.generator(a), DendElement.generator(b)
             for mu in (dprec(x, y), dprec(y, x), dsucc(x, y), dsucc(y, x)):
                 insert(n, _graft(outer, "@", mu))
-    return result
-
-
-def quotient_dims(closure: ClosureResult):
-    """dim Dend(n) minus the closed span's rank, per arity."""
-    return {
-        n: len(span.columns) - span.rank for n, span in sorted(closure.spans.items())
-    }
+    return spans

@@ -168,8 +168,8 @@ def test_reduced_coproduct_degree2_kernel():
     images = [reduced_coproduct(DendElement.from_tree(t)) for t in trees]
     assert len(images) == 2 and images[0] == images[1]
     (v,) = kernel_basis(trees, images)
-    # the free column is the second tree; the pivot coefficient solves for it
-    assert v == LinComb([(trees[0], -1), (trees[1], 1)])
+    # the free column is the first tree; the pivot coefficient solves for it
+    assert v == LinComb([(trees[0], 1), (trees[1], -1)])
 
 
 def test_primitive_dims_catalan():

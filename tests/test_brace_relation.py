@@ -3,11 +3,13 @@
 brace_relation_defect (planar tree operad) and _dend_relation_defect
 (the corolla images in the free dendriform algebra) each spelled out
 the splittings of the arguments into 2n+1 blocks; both now go through
-operads.brace_relation.  old_brace_relation_defect and
-old_dend_relation_defect are verbatim copies of the functions as they
-were before; the tests require the same defects.  validate_brace, the
-third caller, is pinned by the valid and invalid braces of
-tests/test_envelope.py and the tuples of tests/test_enumeration.py.
+operads.brace_relation.  old_dend_relation_defect is a verbatim copy of
+the Dend function as it was before; the tests require the same
+defects.  The planar side is pinned by the grafting and block-splitting
+test below, and by the zero planar defects that suite_brace_relations
+reports.  validate_brace, the third caller, is pinned by the valid and
+invalid braces of tests/test_envelope.py and the tuples of
+tests/test_enumeration.py.
 """
 
 from math import comb
@@ -19,43 +21,12 @@ from treealg.linalg import LinComb
 from treealg.operads import (
     _planar_brace,
     brace_relation,
-    brace_relation_defect,
     compose_ape,
     corolla_tree,
     interval_partitions,
 )
 from treealg.suites import _dend_relation_defect
 from treealg.trees import PlanarTree
-
-
-def old_brace_relation_defect(n: int, m: int) -> LinComb:
-    """Left minus right side of the corolla relation, composed in the
-    planar operad.  The relation rewrites a root composition of two
-    corollas as the sum over partitions of the ordered arguments
-    y_1..y_m into 2n+1 consecutive, possibly empty intervals."""
-    if n < 1 or m < 1:
-        raise ValueError("relation needs n, m >= 1, got %r, %r" % (n, m))
-    xs = ["x%d" % i for i in range(1, n + 1)]
-    ys = ["y%d" % i for i in range(1, m + 1)]
-    inner = corolla_tree("z", xs)
-    outer = corolla_tree("w", ys)
-    lhs = compose_ape(outer, "w", inner)
-
-    terms = []
-    for blocks in interval_partitions(ys, 2 * n + 1):
-        children = []
-        composite = []
-        for i in range(n):
-            children.extend(blocks[2 * i])
-            slot = "p%d" % i
-            children.append(slot)
-            composite.append((slot, xs[i], blocks[2 * i + 1]))
-        children.extend(blocks[2 * n])
-        term = LinComb.single(corolla_tree("z", children))
-        for slot, x, block in composite:
-            term = compose_ape(term, slot, corolla_tree(x, block))
-        terms.append((term, 1))
-    return lhs - LinComb.sum(terms)
 
 
 def old_psi_corolla(args, sign_offset):
@@ -89,12 +60,6 @@ def old_dend_relation_defect(n, m, sign_offset):
 
 
 CASES = [(n, m) for n in range(1, 5) for m in range(1, 6 - n)]
-
-
-@pytest.mark.parametrize("n, m", CASES)
-def test_planar_defect_matches_old(n, m):
-    new, old = brace_relation_defect(n, m), old_brace_relation_defect(n, m)
-    assert new == old and str(new) == str(old)
 
 
 @pytest.mark.parametrize("n, m", CASES)

@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from treealg import dendriform, suites
-from treealg.operads import ClosureResult
+from treealg.operads import ideal_closure
 from treealg.suites import run_suite
 from treealg.trees import LEAF, PBT, ParseError, parse_pbt, parse_planar, pbt_basis
 from treealg.dendriform import (
     DEND_ONE,
     DendElement,
+    DendSpan,
     UnitProductError,
     _tree_prec,
     _tree_star,
@@ -30,7 +31,6 @@ from treealg.dendriform import (
     product_sum,
     psi_corolla,
     psi_eval,
-    s_closure,
     substitute,
     upcomb,
 )
@@ -406,42 +406,41 @@ def test_psi_sign_oracle():
 
 def test_s_closure_examples():
     seed = dprec(A, A) - dsucc(A, A)
-    span2 = s_closure([seed], 2)
+    span2 = DendSpan({"a": 1}, 2).saturate([seed])
     assert span2.degree_dims() == {1: 0, 2: 1}
-    span3 = s_closure([seed], 3)
+    span3 = DendSpan({"a": 1}, 3).saturate([seed])
     assert span3.degree_dims() == {1: 0, 2: 1, 3: 4}
-    empty = s_closure([], 3, alphabet=["a"])
+    empty = DendSpan({"a": 1}, 3).saturate([])
     assert empty.rank == 0
     # c alone: the closure needs (a<b)>c, which no product with a letter gives
-    assert s_closure([C], 3, ["a", "b", "c"]).contains(dsucc(dprec(A, B), C))
+    assert DendSpan({"a": 1, "b": 1, "c": 1}, 3).saturate([C]).contains(dsucc(dprec(A, B), C))
     # inhomogeneous seeds cut near the cutoff, and weighted letters; the
     # closure by every basis tree on all four sides gives the same spans
-    dims = s_closure([A + dprec(A, B)], 4, ["a", "b"]).degree_dims()
+    dims = DendSpan({"a": 1, "b": 1}, 4).saturate([A + dprec(A, B)]).degree_dims()
     assert dims == {1: 0, 2: 1, 3: 8, 4: 58}
-    dims = s_closure([dprec(A, A) - dsucc(B, A), dsucc(A, dprec(B, A)) - B], 4, ["a", "b"]).degree_dims()
+    seeds = [dprec(A, A) - dsucc(B, A), dsucc(A, dprec(B, A)) - B]
+    dims = DendSpan({"a": 1, "b": 1}, 4).saturate(seeds).degree_dims()
     assert dims == {1: 0, 2: 1, 3: 9, 4: 66}
-    dims = s_closure([dprec(A, B) - dsucc(B, A)], 5, ["a", "b"], {"a": 1, "b": 2}).degree_dims()
+    dims = DendSpan({"a": 1, "b": 2}, 5).saturate([dprec(A, B) - dsucc(B, A)]).degree_dims()
     assert dims == {1: 0, 2: 0, 3: 1, 4: 4, 5: 19}
 
 
 def test_s_closure_rejects_unit_seed():
     with pytest.raises(ValueError):
-        s_closure([DEND_ONE + A], 2, alphabet=["a"])
+        DendSpan({"a": 1}, 2).saturate([DEND_ONE + A])
     with pytest.raises(ValueError):
-        s_closure([A], 2).contains(DEND_ONE + A)
-    with pytest.raises(ValueError):
-        ClosureResult(2).contains(2, DEND_ONE + DendElement.generator("1"))
+        DendSpan({"a": 1}, 2).saturate([A]).contains(DEND_ONE + A)
+    # an arity's span of an operad closure has no unit column
+    with pytest.raises(KeyError):
+        ideal_closure({}, 2)[2].contains(DEND_ONE + DendElement.generator("1"))
 
 
 UNIT_SEED_RUNNER = """
-from treealg.dendriform import DEND_ONE, DendElement, s_closure
-from treealg.operads import ClosureResult
+from treealg.dendriform import DEND_ONE, DendElement, DendSpan
 assert False, "this runner must run under python -O"
 a = DendElement.generator("a")
-x = DendElement.generator("1")
-for call in (lambda: s_closure([DEND_ONE + a], 2, alphabet=["a"]),
-             lambda: s_closure([a], 2).contains(DEND_ONE + a),
-             lambda: ClosureResult(2).contains(2, DEND_ONE + x)):
+for call in (lambda: DendSpan({"a": 1}, 2).saturate([DEND_ONE + a]),
+             lambda: DendSpan({"a": 1}, 2).saturate([a]).contains(DEND_ONE + a)):
     try:
         call()
     except ValueError:
@@ -460,16 +459,15 @@ def test_s_closure_rejects_unit_seed_under_optimize():
 
 
 BAD_WEIGHT_RUNNER = """
-from treealg.dendriform import DendElement, s_closure
+from treealg.dendriform import DendSpan
 assert False, "this runner must run under python -O"
-a = DendElement.generator("a")
-for weights in ({"a": 0}, {"a": -1}, {"a": 1.5}, {"b": 1}):
+for weight in (0, -1, 1.5):
     try:
-        s_closure([a], 2, alphabet=["a"], weights=weights)
+        DendSpan({"a": weight}, 2)
     except ValueError as exc:
         assert "'a'" in str(exc), exc
         continue
-    raise SystemExit("no ValueError for %r" % weights)
+    raise SystemExit("no ValueError for %r" % weight)
 """
 
 
@@ -486,7 +484,7 @@ def test_dendspan_rejects_bool_weight():
     # bool is an int; a letter weight is rejected as BraceStructure does
     for w in (True, False):
         with pytest.raises(ValueError, match="letter 'a' has weight %s, not an integer >= 1" % w):
-            dendriform.DendSpan(["a"], 2, {"a": w})
+            DendSpan({"a": w}, 2)
 
 
 def test_pli_counts():

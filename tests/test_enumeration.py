@@ -113,3 +113,16 @@ def test_theta_roundtrip_checks_every_tuple_within_the_bound(monkeypatch):
         for t in product(range(b.dim), repeat=n)
         if sum(b.weights[i] for i in t) <= 4
     ]
+
+
+def test_theta_roundtrip_reports_each_tuple_that_does_not_intertwine(monkeypatch):
+    # with the evaluation scaled by 2 no coproduct intertwines: each
+    # tuple is one defect, in the order the tuples are checked
+    eval_pbt = envelope.eval_pbt
+    monkeypatch.setattr(envelope, "eval_pbt", lambda t, assign: eval_pbt(t, assign).scale(2))
+    rep = theta_roundtrip(1, 3)
+    b, _ = harvest_brace(1, 3)
+    assert rep["dims_equal"] and rep["surjective"] and not rep["intertwined"]
+    assert rep["defects"] == [
+        ("intertwining", t) for n in range(1, 4) for t in weighted_tuples(b.weights, n, 3)
+    ]

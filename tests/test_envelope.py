@@ -16,6 +16,7 @@ from treealg.dendriform import (
 from treealg.bialgebra import TensorSquareElement
 from treealg import words
 from treealg import envelope
+from treealg.suites import run_suite
 from treealg.trees import LEAF, PBT, weighted_pbt_basis
 from treealg.envelope import (
     BraceError,
@@ -169,6 +170,21 @@ def test_class_of_is_reduce_on_every_column():
         q.class_of(next(iter(upcomb([A] * 5).terms)))
 
 
+def test_cmm_reduces_each_up_comb_once(monkeypatch):
+    # theta_roundtrip reduces each up-comb once and passes the class to
+    # both sides; q.coproduct takes a class and reduces nothing
+    calls = []
+    reduce = envelope.TruncatedQuotient.reduce
+
+    def counted(self, e):
+        calls.append(e)
+        return reduce(self, e)
+
+    monkeypatch.setattr(envelope.TruncatedQuotient, "reduce", counted)
+    assert run_suite("cmm", 5)["defects"] == []
+    assert len(calls) == 64
+
+
 def old_wdeg(span, t):
     """The weighted degree as DendSpan computed it before its table."""
     return sum(span.weights[a] for a in t.decorations())
@@ -201,13 +217,14 @@ def old_filtration_dims(span, bound):
 def test_wdeg_table_matches_decoration_sum(weights):
     """DendSpan's table of weighted degrees against its specification,
     the sum of the decorations' weights, on every column and on trees
-    above the cutoff; the per-degree counts read from the table equal
-    the old per-column walk on saturated spans."""
+    above the cutoff; the per-degree counts read from the table, and the
+    dims and dims_next read from a quotient's class table, equal the old
+    per-column walk on saturated spans."""
     letters = list(weights)
     gens = [DendElement.generator(x) for x in letters]
     seeds = [dprec(x, y) - dsucc(y, x) for x in gens for y in gens]
     for cutoff in range(1, 6):
-        span = DendSpan(letters, cutoff, weights)
+        span = DendSpan(weights, cutoff)
         assert span.wdegs[LEAF] == span.wdeg(LEAF) == span.top_wdeg(DendElement.one()) == 0
         assert set(span.wdegs) == set(span.span.columns)
         for t in span.span.columns:
@@ -222,9 +239,17 @@ def test_wdeg_table_matches_decoration_sum(weights):
         assert span.rank > 0 or cutoff == 1
         assert span.degree_dims() == old_degree_dims(span)
         for bound in range(1, cutoff + 1):
-            assert envelope._filtration_dims(span, bound) == old_filtration_dims(span, bound)
+            q = envelope.TruncatedQuotient(None, bound, span, True)
+            assert q.dims() == old_filtration_dims(span, bound)
         for row in span.basis_elements():
             assert span.top_wdeg(row) == max(old_wdeg(span, t) for t in row.terms)
+    # {x|x} = x on the first letter is not graded, so dims_next is read
+    # from a second saturation one degree higher
+    b = BraceStructure(len(letters), letters, {(0, (0,)): LinComb.single(0)}, list(weights.values()))
+    for bound in (1, 2):
+        q = build_envelope(b, bound, 1)
+        span_next = DendSpan(weights, bound + 2).saturate(relation_generators(b, bound + 2))
+        assert not q.graded and q.dims_next == old_filtration_dims(span_next, bound)
 
 
 def test_envelope_coproduct_unit():
@@ -324,7 +349,7 @@ def test_letter_off_the_primitive_span_is_a_defect():
     # identified with b<b, which is not primitive: the count passes, and
     # only the letter check finds the defect
     b = BraceStructure(2, ["b", "a"], {}, weights=[1, 2])
-    span = DendSpan(list(b.letters()), 2, weights=b.letters())
+    span = DendSpan(b.letters(), 2)
     B = DendElement.generator("b")
     span.insert(DendElement.generator("a") - dprec(B, B))
     q = envelope.TruncatedQuotient(b, 2, span, True)

@@ -6,8 +6,9 @@ no loop in the library rebuilds a sum term by term, one function
 expands the brace relation, one parser reads every text grammar, one
 method decides an envelope's defects, one table builds every binary
 tree, weighted degrees are read from DendSpan's table rather than
-from a walk of each tree's decorations, TruncatedQuotient.reduce is the
-one caller of Span.reduce and envelope_primitives builds no Span."""
+from a walk of each tree's decorations, only linalg reads Span's
+echelon engine, TruncatedQuotient.reduce is the one caller of
+Span.reduce and envelope_primitives builds no Span."""
 
 import ast
 import importlib
@@ -225,7 +226,22 @@ def test_decorations_walked_off_the_hot_path():
         for path in sorted((ROOT / "src" / "treealg").glob("*.py"))
         for owner in _owners(ast.parse(path.read_text(), str(path)), _walks_decorations)
     )
-    assert found == [("dendriform.py", "s_closure"), ("dendriform.py", "wdeg"), ("operads.py", "_graft")]
+    assert found == [("dendriform.py", "wdeg"), ("operads.py", "_graft")]
+
+
+def test_echelon_read_in_linalg_only():
+    # Span's engine is linalg's business: the quotient reads its classes
+    # through Span.pivot_keys, not off the engine's rows
+    found = sorted(
+        (path.name, owner)
+        for path in sorted((ROOT / "src" / "treealg").glob("*.py"))
+        if path.name != "linalg.py"
+        for owner in _owners(
+            ast.parse(path.read_text(), str(path)),
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "echelon",
+        )
+    )
+    assert found == []
 
 
 def _reads_off_a_quotient(node) -> bool:
