@@ -325,13 +325,6 @@ class DendSpan:
     def rank(self):
         return self.span.rank
 
-    def degree_dims(self):
-        """Rank per weighted degree (pivot degree of each echelon row)."""
-        out = {d: 0 for d in range(1, self.cutoff + 1)}
-        for t in self.span.pivot_keys():
-            out[self.wdegs[t]] += 1
-        return out
-
     def basis_elements(self):
         return [DendElement(b) for b in self.span.basis()]
 

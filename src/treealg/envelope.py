@@ -218,19 +218,18 @@ def weighted_tuples(weights, length, bound):
         return
     if not weights:
         return
-    lightest = min(weights)
+    yield from _extend(weights, min(weights), (), length, bound)
 
-    def extend(prefix, left, room):
-        # index i fits if w_i plus the lightest completion is within room
-        fits = room - (left - 1) * lightest
-        for i, w in enumerate(weights):
-            if w <= fits:
-                if left == 1:
-                    yield prefix + (i,)
-                else:
-                    yield from extend(prefix + (i,), left - 1, room - w)
 
-    yield from extend((), length, bound)
+def _extend(weights, lightest, prefix, left, room):
+    # index i fits if w_i plus the lightest completion is within room
+    fits = room - (left - 1) * lightest
+    for i, w in enumerate(weights):
+        if w <= fits:
+            if left == 1:
+                yield prefix + (i,)
+            else:
+                yield from _extend(weights, lightest, prefix + (i,), left - 1, room - w)
 
 
 def validate_brace(b: BraceStructure, arity_bound: int):

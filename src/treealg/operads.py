@@ -45,48 +45,48 @@ def _compose_trees(cls, graftings, outer, at, inner):
     clash = (outer.label_set() - {at}) & inner.label_set()
     if clash:
         raise ValueError("label collision %s between %s and %s" % (sorted(clash), outer, inner))
+    return [_replace_at(cls, outer, at, grafted) for grafted in graftings(node.children, inner)]
 
-    def replace_at(t, replacement):
-        if t.label == at:
-            return replacement
-        return cls(t.label, [replace_at(c, replacement) for c in t.children])
 
-    return [replace_at(outer, grafted) for grafted in graftings(node.children, inner)]
+def _replace_at(cls, t, at, replacement):
+    if t.label == at:
+        return replacement
+    return cls(t.label, [_replace_at(cls, c, at, replacement) for c in t.children])
 
 
 def _angle_graftings(entering, inner):
     """One planar grafting per weakly increasing map from the entering
     edges to the angles of inner."""
     angle_list = angles(inner)
-
-    def rebuild(s, insertions):
-        parts = list(insertions.get((s.label, 0), ()))
-        for i, c in enumerate(s.children):
-            parts.append(rebuild(c, insertions))
-            parts.extend(insertions.get((s.label, i + 1), ()))
-        return PlanarTree(s.label, parts)
-
     for combo in combinations_with_replacement(range(len(angle_list)), len(entering)):
         insertions = {}
         for child, ai in zip(entering, combo):
             insertions.setdefault(tuple(angle_list[ai]), []).append(child)
-        yield rebuild(inner, insertions)
+        yield _insert_at_angles(inner, insertions)
+
+
+def _insert_at_angles(s, insertions):
+    parts = list(insertions.get((s.label, 0), ()))
+    for i, c in enumerate(s.children):
+        parts.append(_insert_at_angles(c, insertions))
+        parts.extend(insertions.get((s.label, i + 1), ()))
+    return PlanarTree(s.label, parts)
 
 
 def _vertex_graftings(entering, inner):
     """One non-planar grafting per map from the entering edges to the
     vertices of inner."""
-
-    def rebuild(s, attach):
-        parts = [rebuild(c, attach) for c in s.children]
-        parts.extend(attach.get(s.label, ()))
-        return RootedTree(s.label, parts)
-
     for choice in product(inner.labels(), repeat=len(entering)):
         attach = {}
         for child, v in zip(entering, choice):
             attach.setdefault(v, []).append(child)
-        yield rebuild(inner, attach)
+        yield _attach_at_vertices(inner, attach)
+
+
+def _attach_at_vertices(s, attach):
+    parts = [_attach_at_vertices(c, attach) for c in s.children]
+    parts.extend(attach.get(s.label, ()))
+    return RootedTree(s.label, parts)
 
 
 def compose_ape(outer, at, inner) -> LinComb:

@@ -1,6 +1,7 @@
 """Named verification suites: each one checks a single statement of the
 theory exhaustively up to a bound and reports every counterexample."""
 
+import gc
 from functools import lru_cache, partial
 from itertools import permutations, product
 from math import factorial
@@ -133,6 +134,14 @@ def suite_axioms(bound=5):
     escape the premise.  Where eq1-eq3 fail on a triple, or the premise
     fails, star-assoc is summed as before, so the defects are the same
     for any products.
+
+    The split check calls star through its __wrapped__, when it has
+    one, and so stores none of its products in star's cache: most of
+    them are of degree sum equal to bound, and no other check reads
+    those.  This is exact: the wrapped rule is the function whose
+    values the cache stores, so each call returns the tuple that a
+    cache miss would store and return.  A star without __wrapped__ is
+    called as it is.
     """
     prec, succ, star = (dendriform._PRODUCTS[op][0] for op in "<>*")
     defects = []
@@ -155,8 +164,9 @@ def suite_axioms(bound=5):
         u in members[t1.degree + t2.degree] for (t1, t2), (_, _, xy_star) in table.items() for u in xy_star
     )
     del members
+    star_once = getattr(star, "__wrapped__", star)
     split = split and all(
-        star(s, t) == prec(s, t) + succ(s, t)
+        star_once(s, t) == prec(s, t) + succ(s, t)
         for d1 in range(1, bound)
         for d2 in range(1, bound - d1 + 1)
         for s in trees[d1]
@@ -171,16 +181,15 @@ def suite_axioms(bound=5):
                     for t3 in trees[d3]:
                         checked += 1
                         yz_prec, yz_succ, yz_star = table[t2, t3]
-                        derived = split
-                        for name, sides in (
-                            ("eq1", (xy_prec, prec, t3, t1, prec, yz_star)),
-                            ("eq2", (xy_succ, prec, t3, t1, succ, yz_prec)),
-                            ("eq3", (xy_star, succ, t3, t1, succ, yz_succ)),
-                        ):
-                            if not _sides_agree(*sides):
-                                derived = False
+                        eq1 = _sides_agree(xy_prec, prec, t3, t1, prec, yz_star)
+                        eq2 = _sides_agree(xy_succ, prec, t3, t1, succ, yz_prec)
+                        eq3 = _sides_agree(xy_star, succ, t3, t1, succ, yz_succ)
+                        if eq1 and eq2 and eq3 and split:
+                            continue
+                        for name, agree in (("eq1", eq1), ("eq2", eq2), ("eq3", eq3)):
+                            if not agree:
                                 defects.append({"axiom": name, "triple": [str(t1), str(t2), str(t3)]})
-                        if not derived and not _sides_agree(xy_star, star, t3, t1, star, yz_star):
+                        if not _sides_agree(xy_star, star, t3, t1, star, yz_star):
                             defects.append({"axiom": "star-assoc", "triple": [str(t1), str(t2), str(t3)]})
     unit_prec, unit_succ = (dendriform._PRODUCTS[op][1] for op in "<>")
     units_checked = 0
@@ -560,6 +569,14 @@ SUITES = {
 
 
 def run_suite(name, bound=None) -> dict:
+    """Run one suite at bound (its default when None) and return its
+    result and defects.
+
+    The cyclic garbage collector is paused while the suite runs and
+    left as it was found afterwards.  The suites make no reference
+    cycles, so reference counting frees everything they drop and the
+    collector's passes would only rescan the growing product caches.
+    """
     if name not in SUITES:
         raise SuiteError("unknown suite %r (known: %s)" % (name, ", ".join(sorted(SUITES))))
     func, default, smallest = SUITES[name]
@@ -568,5 +585,11 @@ def run_suite(name, bound=None) -> dict:
         raise SuiteError(
             "suite %s checks nothing below bound %d, got %d" % (name, smallest, bound)
         )
-    result, defects = func(bound)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        result, defects = func(bound)
+    finally:
+        if collecting:
+            gc.enable()
     return {"suite": name, "bound": bound, "result": result, "defects": defects}

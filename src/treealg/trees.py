@@ -276,15 +276,15 @@ def angles(t: PlanarTree):
     the geometric order without coordinates.
     """
     out = []
-
-    def walk(v):
-        out.append(Angle(v.label, 0))
-        for i, c in enumerate(v.children):
-            walk(c)
-            out.append(Angle(v.label, i + 1))
-
-    walk(t)
+    _walk_angles(t, out)
     return out
+
+
+def _walk_angles(v, out):
+    out.append(Angle(v.label, 0))
+    for i, c in enumerate(v.children):
+        _walk_angles(c, out)
+        out.append(Angle(v.label, i + 1))
 
 
 _TOKEN_RE = re.compile(r"\s*(%s|[(),*<>{}|])" % LABEL_RE.pattern)
@@ -489,17 +489,18 @@ def pbt_basis(degree, alphabet):
         raise ValueError("degree must be at least 1, got %r" % (degree,))
     alphabet = list(alphabet)
     decorated = {LEAF: [LEAF]}  # shape -> its decorated trees, in order
-    nodes = PBT._nodes
+    return [t for shape in pbt_shapes(degree) for t in _decorate(shape, alphabet, decorated)]
 
-    def decorate(shape):
-        out = decorated.get(shape)
-        if out is None:
-            lefts, rights = decorate(shape.left), decorate(shape.right)
-            out = [nodes[left, a, right] for left in lefts for a in alphabet for right in rights]
-            decorated[shape] = out
-        return out
 
-    return [t for shape in pbt_shapes(degree) for t in decorate(shape)]
+def _decorate(shape, alphabet, decorated):
+    out = decorated.get(shape)
+    if out is None:
+        lefts = _decorate(shape.left, alphabet, decorated)
+        rights = _decorate(shape.right, alphabet, decorated)
+        nodes = PBT._nodes
+        out = [nodes[left, a, right] for left in lefts for a in alphabet for right in rights]
+        decorated[shape] = out
+    return out
 
 
 def weighted_pbt_basis(alphabet, weights, max_weight):

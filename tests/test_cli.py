@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -364,6 +365,46 @@ def test_every_suite_checks_something_at_its_smallest_bound():
         if smallest > 1:
             # one below, the suite would check nothing (bound 0 is no bound)
             assert CHECKED[name](func(smallest - 1)[0]) == 0, name
+
+
+def test_suites_leave_no_cyclic_garbage():
+    # run_suite pauses the collector on the premise that the suites make
+    # no reference cycles, so that reference counting frees all they drop
+    cases = [(name, b) for name, (_, _, smallest) in SUITES.items() for b in (smallest, smallest + 1)]
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, bound in cases + [("axioms", 5)]:
+            run_suite(name, bound)
+            assert gc.collect() == 0, (name, bound)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_run_suite_restores_the_collector(monkeypatch):
+    seen = []
+
+    def suite(bound):
+        seen.append(gc.isenabled())
+        if bound == 2:
+            raise RuntimeError("suite failed")
+        return {}, []
+
+    monkeypatch.setitem(SUITES, "probe", (suite, 1, 1))
+    collecting = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert run_suite("probe")["defects"] == []
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError):
+                run_suite("probe", 2)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if collecting else gc.disable)()
+    assert seen == [False] * 4
 
 
 def test_suite_below_its_smallest_bound_exit_2():

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from pathlib import Path
 
@@ -157,15 +157,17 @@ def old_suite_axioms(bound=5):
     return {"triples": checked, "unit_checks": units_checked}, defects
 
 
-def _mutate(monkeypatch, mutants, unit=False):
+def _mutate(monkeypatch, mutants, unit=False, cached=False):
     """Replace each tree product op of mutants, or with unit set its unit
-    rule, by mutants[op](original, u, v); return the defects of
-    old_suite_axioms(5), after checking that the suite reports the same
-    ones in the same order."""
+    rule, by mutants[op](original, u, v), with cached an lru_cache of
+    it; return the defects of old_suite_axioms(5), after checking that
+    the suite reports the same ones in the same order."""
     slot = 1 if unit else 0
     for op, mutated in mutants.items():
         rules = list(dendriform._PRODUCTS[op])
         rules[slot] = partial(mutated, rules[slot])
+        if cached:
+            rules[slot] = lru_cache(maxsize=None)(rules[slot])
         monkeypatch.setitem(dendriform._PRODUCTS, op, tuple(rules))
     expected = old_suite_axioms(5)[1]
     assert run_suite("axioms", 5)["defects"] == expected
@@ -201,13 +203,30 @@ def test_axioms_on_tuples_match_product_sum(monkeypatch, op, wrong):
 # break that split; each must still give what product_sum gives.
 
 
-@pytest.mark.parametrize("op, wrong", [("*", "drop"), ("<", "repeat")])
-def test_axioms_wrong_at_the_top_degree_match_product_sum(monkeypatch, op, wrong):
+@pytest.mark.parametrize(
+    "op, wrong, cached",
+    [
+        pytest.param("*", "drop", False, id="*-drop"),
+        pytest.param("<", "repeat", False, id="<-repeat"),
+        pytest.param("*", "drop", True, id="*-drop-cached"),
+    ],
+)
+def test_axioms_wrong_at_the_top_degree_match_product_sum(monkeypatch, op, wrong, cached):
     # u, the tree of a<(b<(a<b)), and z = a have degree sum equal to the
     # bound, so u*z is read by star-assoc alone and u<z by the left side
-    # of eq1 alone
+    # of eq1 alone.  The split check reads a cached star through its
+    # __wrapped__, which must be the wrong star itself
     u, z = parse_pbt("(* a (* b (* a (* b *))))"), parse_pbt("(* a *)")
-    assert _mutate(monkeypatch, {op: _wrong_on(u, z, wrong)})
+    assert _mutate(monkeypatch, {op: _wrong_on(u, z, wrong)}, cached=cached)
+
+
+def test_axioms_cache_no_top_degree_star(fresh_tree_caches):
+    # the split check's stars of degree sum 5 are read once and not
+    # stored: the star cache holds the tabled pairs, degree sum below 5
+    run_suite("axioms", 5)
+    sizes = {d: len(pbt_basis(d, ["a", "b"])) for d in range(1, 4)}
+    tabled = sum(sizes[d1] * sizes[d2] for d1 in range(1, 4) for d2 in range(1, 5 - d1))
+    assert [f.cache_info().currsize for f in fresh_tree_caches] == [1796, 1796, tabled]
 
 
 @pytest.mark.parametrize("wrong", ["far", "drop"])
@@ -404,24 +423,33 @@ def test_psi_sign_oracle():
     assert -psi_corolla([A, B]) == target.scale(-1)
 
 
+def _rank_per_degree(span):
+    """How many echelon rows of a DendSpan have their pivot tree in each
+    weighted degree 1..cutoff."""
+    ranks = dict.fromkeys(range(1, span.cutoff + 1), 0)
+    for t in span.span.pivot_keys():
+        ranks[span.wdeg(t)] += 1
+    return ranks
+
+
 def test_s_closure_examples():
     seed = dprec(A, A) - dsucc(A, A)
     span2 = DendSpan({"a": 1}, 2).saturate([seed])
-    assert span2.degree_dims() == {1: 0, 2: 1}
+    assert _rank_per_degree(span2) == {1: 0, 2: 1}
     span3 = DendSpan({"a": 1}, 3).saturate([seed])
-    assert span3.degree_dims() == {1: 0, 2: 1, 3: 4}
+    assert _rank_per_degree(span3) == {1: 0, 2: 1, 3: 4}
     empty = DendSpan({"a": 1}, 3).saturate([])
     assert empty.rank == 0
     # c alone: the closure needs (a<b)>c, which no product with a letter gives
     assert DendSpan({"a": 1, "b": 1, "c": 1}, 3).saturate([C]).contains(dsucc(dprec(A, B), C))
     # inhomogeneous seeds cut near the cutoff, and weighted letters; the
     # closure by every basis tree on all four sides gives the same spans
-    dims = DendSpan({"a": 1, "b": 1}, 4).saturate([A + dprec(A, B)]).degree_dims()
+    dims = _rank_per_degree(DendSpan({"a": 1, "b": 1}, 4).saturate([A + dprec(A, B)]))
     assert dims == {1: 0, 2: 1, 3: 8, 4: 58}
     seeds = [dprec(A, A) - dsucc(B, A), dsucc(A, dprec(B, A)) - B]
-    dims = DendSpan({"a": 1, "b": 1}, 4).saturate(seeds).degree_dims()
+    dims = _rank_per_degree(DendSpan({"a": 1, "b": 1}, 4).saturate(seeds))
     assert dims == {1: 0, 2: 1, 3: 9, 4: 66}
-    dims = DendSpan({"a": 1, "b": 2}, 5).saturate([dprec(A, B) - dsucc(B, A)]).degree_dims()
+    dims = _rank_per_degree(DendSpan({"a": 1, "b": 2}, 5).saturate([dprec(A, B) - dsucc(B, A)]))
     assert dims == {1: 0, 2: 0, 3: 1, 4: 4, 5: 19}
 
 
