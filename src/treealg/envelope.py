@@ -11,7 +11,6 @@ primitive degree as weight, which is what makes the truncated envelope
 of the free brace match the free dendriform dimensions.
 """
 
-import json
 import math
 from functools import lru_cache
 from itertools import product
@@ -178,6 +177,8 @@ class BraceStructure:
 
     @classmethod
     def load(cls, path) -> "BraceStructure":
+        import json  # here, not at the top: importing the suites needs no json
+
         with open(path) as fh:
             try:
                 data = json.load(fh)
@@ -334,7 +335,12 @@ class TruncatedQuotient:
         ]
 
     def reduce(self, e: DendElement) -> DendElement:
-        """Canonical representative modulo the truncated ideal."""
+        """Canonical representative modulo the truncated ideal.
+
+        A multiple of one class tree is returned as it is: a class tree
+        is 0 at every pivot and within the cutoff."""
+        if len(e.terms) == 1 and next(iter(e.terms)) in self.classes:
+            return e
         if self.span.top_wdeg(e) > self.span.cutoff:
             raise BraceError("degree overflow: element exceeds the truncation")
         return DendElement(self.span.span.reduce(e))

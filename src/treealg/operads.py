@@ -11,8 +11,10 @@ import math
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from treealg.linalg import LinComb, Span
-from treealg.trees import LEAF, PlanarTree, RootedTree, angles, pbt_shapes
-from treealg.dendriform import DendElement, dprec, dsucc, positive_body, substitute
+from treealg.trees import LEAF, PBT, PlanarTree, RootedTree, angles, pbt_shapes
+from treealg.dendriform import DendElement, dprec, dsucc, eval_pbt, positive_body
+
+_nodes = PBT._nodes  # indexed directly: a hit is one dict lookup
 
 
 def corolla_tree(root, leaves) -> PlanarTree:
@@ -194,12 +196,40 @@ def relabel_element(e: DendElement, mapping) -> DendElement:
 def _graft(outer: DendElement, slot, inner: DendElement) -> DendElement:
     """Evaluate outer with `slot` bound to inner and all other letters
     kept as generators.  outer is multilinear: each of its trees carries
-    the same letters, so they are read off one tree."""
+    the same letters, so they are read off one tree, and the slot at
+    most once.
+
+    Only the subtree at the slot is evaluated, with eval_pbt.  On trees
+    l, u and r the vee-recursion gives l > (a < u) = (l a u) and
+    (u > a) < r = (u a r), so each node above the slot maps every tree
+    u of the value below it to one tree, (l a u) when the slot is on its
+    right and (u a r) when it is on its left; distinct trees u give
+    distinct trees.  A tree without the slot is returned unchanged."""
     assign = {
         name: inner if name == slot else DendElement.generator(name)
         for name in next(iter(outer.terms), LEAF).decorations()
     }
-    return substitute(outer, assign)
+    parts = []
+    for t, c in outer.terms.items():
+        value = _graft_tree(t, slot, assign)
+        parts.append(({t: 1} if value is None else value, c))
+    return DendElement.sum(parts)
+
+
+def _graft_tree(t, slot, assign):
+    """eval_pbt(t, assign) as a dict of terms, or None when t does not
+    carry slot, found in one walk down t."""
+    if t is LEAF:
+        return None
+    if t.label == slot:
+        return eval_pbt(t, assign).terms
+    below = _graft_tree(t.left, slot, assign)
+    if below is not None:
+        return {_nodes[u, t.label, t.right]: c for u, c in below.items()}
+    below = _graft_tree(t.right, slot, assign)
+    if below is not None:
+        return {_nodes[t.left, t.label, u]: c for u, c in below.items()}
+    return None
 
 
 def ideal_closure(generators, max_arity: int) -> dict:

@@ -185,6 +185,24 @@ def test_cmm_reduces_each_up_comb_once(monkeypatch):
     assert len(calls) == 64
 
 
+@pytest.mark.parametrize("suite, bound, count", [("cmm", 5, 0), ("envelope-trivial", 4, 367)])
+def test_class_trees_reduce_without_the_span(monkeypatch, suite, bound, count):
+    # TruncatedQuotient.reduce returns a multiple of one class tree as it
+    # is, without Span.reduce: cmm's 64 up-combs are such multiples, and
+    # so are 39 of the 406 elements envelope-trivial reduces (its 36
+    # word up-combs and 3 letters)
+    calls = []
+    reduce = Span.reduce
+
+    def counted(self, combo):
+        calls.append(combo)
+        return reduce(self, combo)
+
+    monkeypatch.setattr(Span, "reduce", counted)
+    assert run_suite(suite, bound)["defects"] == []
+    assert len(calls) == count
+
+
 def old_wdeg(span, t):
     """The weighted degree as DendSpan computed it before its table."""
     return sum(span.weights[a] for a in t.decorations())

@@ -1,11 +1,12 @@
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
 
 from treealg.linalg import LinComb, Span
-from treealg.trees import catalan, parse_planar, parse_rooted, planar_trees, rooted_trees
-from treealg.dendriform import DendElement, dprec, dsucc, psi_eval
+from treealg.trees import LEAF, catalan, parse_planar, parse_rooted, planar_trees, rooted_trees
+from treealg.dendriform import DendElement, dprec, dsucc, psi_corolla, psi_eval, substitute
 from treealg.operads import (
     _graft,
     brace_relation_defect,
@@ -293,3 +294,32 @@ def test_left_ideal_of_full_image_is_two_sided():
 def test_corolla_shape():
     c = corolla_tree("1", ["2", "3", "4"])
     assert str(c) == "1(2,3,4)"
+
+
+def old_graft(outer: DendElement, slot, inner: DendElement) -> DendElement:
+    """_graft as it was before it evaluated only the slot's subtree: a
+    verbatim copy, the oracle of the test below."""
+    assign = {
+        name: inner if name == slot else DendElement.generator(name)
+        for name in next(iter(outer.terms), LEAF).decorations()
+    }
+    return substitute(outer, assign)
+
+
+def test_graft_matches_old():
+    # every multilinear basis tree of arity <= 4 at each of its letters,
+    # with each of the four products of two fresh letters and with a
+    # multi-term inner, and one multi-term outer
+    x, y, z = (DendElement.generator(a) for a in "xyz")
+    inners = [dprec(x, y), dprec(y, x), dsucc(x, y), dsucc(y, x)]
+    inners.append(psi_corolla([x, y, z]) + dprec(x, dsucc(y, z)).scale(Fraction(1, 3)))
+    for n in range(1, 5):
+        for t in multilinear_basis(n):
+            outer = DendElement.from_tree(t)
+            for slot in t.decorations():
+                for inner in inners:
+                    assert _graft(outer, slot, inner) == old_graft(outer, slot, inner), (t, slot)
+    outer = DendElement((t, Fraction(i + 1, 2) * (-1) ** i) for i, t in enumerate(multilinear_basis(3)))
+    for slot in "123":
+        for inner in inners:
+            assert _graft(outer, slot, inner) == old_graft(outer, slot, inner)

@@ -8,7 +8,8 @@ method decides an envelope's defects, one table builds every binary
 tree, weighted degrees are read from DendSpan's table rather than
 from a walk of each tree's decorations, only linalg reads Span's
 echelon engine, TruncatedQuotient.reduce is the one caller of
-Span.reduce and envelope_primitives builds no Span."""
+Span.reduce, envelope_primitives builds no Span and importing the
+suites imports no json."""
 
 import ast
 import importlib
@@ -90,6 +91,20 @@ def test_tracer_self_test_passes():
         info = json.loads(out.decode().splitlines()[-1])
         assert info["matches_golden"], workload
         assert run.tracer_problems(workload, info) == [], workload
+
+
+def test_importing_the_suites_leaves_out_json():
+    # only BraceStructure.load and the CLI read or write JSON, so a
+    # program that imports the suites does not pay for importing it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, treealg.suites; print('json' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_no_assert_in_src():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from treealg.linalg import LinComb
 from treealg.words import EMPTY, Word, deconcat, halfshuffle, shuffle, zin_eval
 from treealg.dendriform import DendElement, dprec, dsucc, psi_corolla
+from treealg.operads import multilinear_basis
+from treealg.suites import zinbiel_ideal
+from treealg.trees import pbt_basis
 
 
 def W(s):
@@ -131,3 +135,74 @@ def test_word_str_forms():
     assert str(W("ab")) == "ab"
     assert str(Word(("alpha", "b"))) == "alpha.b"
     assert str(EMPTY) == ""
+
+
+# The word evaluation as it was before it ran on letter tuples: verbatim
+# copies of the LinComb shuffle recursion, the half-shuffle on it and the
+# per-tree recursion, the oracle of the test below.
+@lru_cache(maxsize=None)
+def old_shuffle_combs(a: tuple, b: tuple) -> LinComb:
+    if not a:
+        return LinComb.single(Word(b))
+    if not b:
+        return LinComb.single(Word(a))
+    left = old_shuffle_combs(a[1:], b).map_keys(lambda w: Word((a[0],) + w.letters))
+    right = old_shuffle_combs(a, b[1:]).map_keys(lambda w: Word((b[0],) + w.letters))
+    return left + right
+
+
+def old_halfshuffle(w: Word, u: Word) -> LinComb:
+    if not w.letters:
+        raise ValueError("half-shuffle needs a nonempty left factor")
+    return old_shuffle_combs(w.letters[1:], u.letters).map_keys(
+        lambda v: Word((w.letters[0],) + v.letters)
+    )
+
+
+def old_half_combs(x: LinComb, y: LinComb) -> LinComb:
+    return LinComb.sum(
+        (old_halfshuffle(w, u), a * b) for w, a in x.terms.items() for u, b in y.terms.items()
+    )
+
+
+@lru_cache(maxsize=None)
+def old_zin_tree(t) -> LinComb:
+    if t.is_leaf():
+        return LinComb.single(EMPTY)
+    # node = left > label < right; under x<y -> x.y and x>y -> y.x
+    mid = LinComb.single(Word((t.label,)))
+    if not t.right.is_leaf():
+        mid = old_half_combs(mid, old_zin_tree(t.right))
+    if not t.left.is_leaf():
+        mid = old_half_combs(mid, old_zin_tree(t.left))
+    return mid
+
+
+def old_zin_eval(e: DendElement) -> LinComb:
+    return LinComb.sum((old_zin_tree(t), c) for t, c in e.terms.items())
+
+
+def test_zin_eval_matches_old():
+    # every tree of degree <= 5 on two letters and <= 4 on three (repeated
+    # letters give multiplicities above 1), every multilinear tree of
+    # arity <= 5, and elements with Fraction coefficients and a unit part
+    # whose images cancel partly or wholly
+    trees = [t for d in range(1, 6) for t in pbt_basis(d, ["a", "b"])]
+    trees += [t for d in range(1, 5) for t in pbt_basis(d, ["a", "b", "c"])]
+    trees += [t for n in range(1, 6) for t in multilinear_basis(n)]
+    for t in trees:
+        e = DendElement.from_tree(t)
+        assert zin_eval(e) == old_zin_eval(e), t
+    a, b = DendElement.generator("a"), DendElement.generator("b")
+    elements = [
+        DendElement.one().scale(Fraction(1, 2)) + a.scale(Fraction(2, 3)) - dprec(a, b),
+        dprec(a, b) - dsucc(b, a),
+        dprec(a, b).scale(Fraction(3, 4)) - dsucc(b, a) + dsucc(a, b).scale(Fraction(-5, 7)),
+    ]
+    for d in range(1, 5):
+        level = pbt_basis(d, ["a", "b"])
+        elements.append(DendElement((t, Fraction(i + 1, 3) * (-1) ** i) for i, t in enumerate(level)))
+    elements += [DendElement(row) for span in zinbiel_ideal(4).values() for row in span.basis()]
+    for e in elements:
+        assert zin_eval(e) == old_zin_eval(e), e
+    assert all(not zin_eval(e) for e in elements[1:2] + elements[-10:])
