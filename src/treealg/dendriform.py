@@ -51,14 +51,18 @@ _nodes = PBT._nodes  # indexed directly: a hit is one dict lookup
 
 @lru_cache(maxsize=None)
 def _tree_prec(t: PBT, s: PBT) -> tuple:
-    rs = (s,) if t.right is LEAF else _tree_star(t.right, s)
-    return tuple([_nodes[t.left, t.label, u] for u in rs])
+    left, label, right = t.left, t.label, t.right
+    if right is LEAF:
+        return (_nodes[left, label, s],)
+    return tuple([_nodes[left, label, u] for u in _tree_star(right, s)])
 
 
 @lru_cache(maxsize=None)
 def _tree_succ(t: PBT, s: PBT) -> tuple:
-    tl = (t,) if s.left is LEAF else _tree_star(t, s.left)
-    return tuple([_nodes[u, s.label, s.right] for u in tl])
+    left, label, right = s.left, s.label, s.right
+    if left is LEAF:
+        return (_nodes[t, label, right],)
+    return tuple([_nodes[u, label, right] for u in _tree_star(t, left)])
 
 
 @lru_cache(maxsize=None)

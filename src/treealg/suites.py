@@ -71,16 +71,24 @@ def zinbiel_ideal(max_arity):
 
 def _sides_agree(left, op, z, x, op2, right):
     """Whether the sum of u op z over the trees u of left equals the sum
-    of x op2 v over the trees v of right, trees counted with multiplicity."""
-    count = {}
-    get = count.get
+    of x op2 v over the trees v of right, trees counted with multiplicity.
+
+    Each side is concatenated into one list; a product may return a
+    tuple, a list or a generator.  Lists equal as sequences agree, and
+    lists of different lengths do not.  Otherwise both are sorted by id
+    and compared.  This decides the multiset question exactly, repeats
+    included, because basis trees are hash-consed: equal trees are the
+    same object (copies and pickles too), so two lists hold the same
+    trees with the same multiplicities exactly when their id orders are
+    the same sequence.
+    """
+    a = []
     for u in left:
-        for w in op(u, z):
-            count[w] = get(w, 0) + 1
+        a += op(u, z)
+    b = []
     for v in right:
-        for w in op2(x, v):
-            count[w] = get(w, 0) - 1
-    return not any(count.values())
+        b += op2(x, v)
+    return a == b or (len(a) == len(b) and sorted(a, key=id) == sorted(b, key=id))
 
 
 def suite_axioms(bound=5):
@@ -95,7 +103,12 @@ def suite_axioms(bound=5):
         eq3          (x*y)>z = x>(y>z)
         star-assoc   (x*y)*z = x*(y*z)
 
-    and every pair with degree sum below bound is checked by product_sum
+    Each side is the concatenation of the cached tuples u.z over the
+    trees u of x.y, or x.v over the trees v of y.z, and _sides_agree
+    decides whether the two sides are the same multiset of trees; every
+    cached product has coefficient 1 on each of its trees.
+
+    Every pair with degree sum below bound is checked by product_sum
     to satisfy star-split, x*y = x<y + x>y.  The products are bilinear,
     so star-split on (y, z) and (x, y) turns the star form into the
     expanded one, x<(y*z) = x<(y<z) + x<(y>z) and

@@ -186,6 +186,9 @@ class PBT:
 
     LEAF is the unique empty tree (degree 0); it stands for the unit
     when a node slot is vacant and never occurs as a basis element.
+    copy.copy and copy.deepcopy return the node itself, and an unpickled
+    tree is rebuilt through the table, so it is the interned node; LEAF
+    pickles and copies as the module's LEAF.
     """
 
     __slots__ = ("left", "label", "right", "_str", "degree")
@@ -193,6 +196,15 @@ class PBT:
 
     def __new__(cls, left, label, right):
         return cls._nodes[left, label, right]
+
+    def __reduce__(self):
+        return PBT, (self.left, self.label, self.right)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __str__(self):
         return self._str or _print(self)
@@ -242,6 +254,9 @@ class _Leaf:
         return "*"
 
     def __repr__(self):
+        return "LEAF"
+
+    def __reduce__(self):
         return "LEAF"
 
     def __lt__(self, other):

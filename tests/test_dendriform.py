@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -290,6 +291,54 @@ def test_axioms_sum_star_assoc_only_where_the_split_fails(monkeypatch):
     prec, succ = (dendriform._PRODUCTS[op][0] for op in "<>")
     assert _mutate(monkeypatch, {"*": lambda star, u, v: succ(u, v) + prec(u, v)}) == []
     assert len(calls) == 4 * triples
+
+
+def test_sides_agree_is_multiset_equality(monkeypatch):
+    # the specification: the two concatenated sides are equal as
+    # multisets of trees, which Counter equality decides
+    def spec(left, op, z, x, op2, right):
+        a = Counter(w for u in left for w in op(u, z))
+        return a == Counter(w for v in right for w in op2(x, v))
+
+    w, v, t = parse_pbt("(* a *)"), parse_pbt("(* a (* b *))"), parse_pbt("((* b *) a *)")
+    # each side is a list of chunks, and the product hands a chunk back
+    # as a tuple, a list or a generator
+    named = [
+        ([(w, v, t)], [(t, w, v)], True),  # permuted
+        ([(w,), (v, t)], [(t, w), (v,)], True),  # permuted across chunks
+        ([(w, v)], [(w, v, v)], False),  # unequal lengths
+        ([(w, w, v)], [(w, v, v)], False),  # same set, other multiplicities
+        ([], [], True),  # empty sides
+        ([()], [(), ()], True),
+        ([], [(w,)], False),
+    ]
+    words = [seq for n in range(4) for seq in product((w, v, t), repeat=n)]
+    cases = named + [
+        (chunks(a), chunks(b), None)
+        for a in words
+        for b in words
+        for chunks in (lambda s: [s], lambda s: [(u,) for u in s])
+    ]
+    for kind in (tuple, list, iter):
+        op = lambda u, z: kind(u)
+        op2 = lambda x, u: kind(u)
+        for left, right, expected in cases:
+            answer = suites._sides_agree(left, op, None, None, op2, right)
+            assert answer == spec(left, op, None, None, op2, right)
+            assert expected is None or answer is expected
+    # every comparison the axioms suite makes, on the free products
+    calls = []
+    sides_agree = suites._sides_agree
+
+    def recorded(*sides):
+        calls.append(sides)
+        return sides_agree(*sides)
+
+    monkeypatch.setattr(suites, "_sides_agree", recorded)
+    run_suite("axioms", 4)
+    assert calls
+    for sides in calls:
+        assert sides_agree(*sides) == spec(*sides)
 
 
 @pytest.mark.parametrize("op", ["<", ">"])

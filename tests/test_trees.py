@@ -1,8 +1,11 @@
+import copy
+import pickle
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treealg.dendriform import DendElement, dstar
 from treealg.linalg import LinComb
 from treealg.trees import (
     LABEL_RE,
@@ -298,3 +301,20 @@ def test_pbt_infix_decorations(n, data):
     shapes = pbt_shapes(n)
     t = shapes[data.draw(st.integers(min_value=0, max_value=len(shapes) - 1))]
     assert t.decorations() == [str(i) for i in range(1, n + 1)]
+
+
+def test_copies_and_pickles_are_the_interned_tree():
+    # equality of trees is identity, so a copy or an unpickled tree must
+    # be the node of the table, and the empty tree must be LEAF
+    round_trips = (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)))
+    trees = [LEAF] + [t for d in range(1, 6) for t in pbt_basis(d, ["a", "b"])[:: 7 * d]]
+    for t in trees:
+        for f in round_trips:
+            assert f(t) is t
+    a = DendElement.generator("a")
+    x = DendElement.from_tree(parse_pbt("((* b *) a *)")) + a.scale(3)
+    for u in (DendElement.one(), a, x):
+        for f in round_trips[1:]:
+            c = f(u)
+            assert c == u
+            assert dstar(c, a) == dstar(u, a) and dstar(a, c) == dstar(a, u)
