@@ -6,6 +6,10 @@ layer (saturation, ideal closure, kernels and reduction); tree-axioms
 is the only one that exercises the tree products without elimination.
 So a wrong quotient or a wrong product fails the tests and not first
 the benchmark.  The file is only read.
+
+tests/golden_suites.json holds the output of every suite from its
+smallest to its default bound and a few runs beyond; its one test reruns
+them all, and tests/regen_golden_suites.py rewrites it.
 """
 
 import json
@@ -13,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from regen_golden_suites import RECORD, cases, key
 from treealg.suites import run_suite
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -27,3 +32,10 @@ def canonical(obj):
 def test_run_suite_matches_golden(workload):
     golden = json.loads(GOLDEN.read_text())[workload]
     assert canonical(run_suite(golden["suite"], golden["bound"])) == golden
+
+
+def test_every_suite_matches_its_golden_record():
+    golden = json.loads(RECORD.read_text())
+    assert sorted(golden) == sorted(key(s, b) for s, b in cases())
+    moved = [key(s, b) for s, b in cases() if canonical(run_suite(s, b)) != golden[key(s, b)]]
+    assert moved == []
