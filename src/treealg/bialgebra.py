@@ -12,16 +12,16 @@ omit the unique ghost term whose both right legs are the unit.
 
 from functools import lru_cache
 
-from treealg.linalg import LinComb, kernel_basis
-from treealg.trees import LEAF, PBT, generator_names, pbt_basis
+from treealg.linalg import LinComb, _from_terms, add_into, kernel_basis
+from treealg.trees import LEAF, generator_names, pbt_basis
 from treealg.dendriform import (
+    _PRODUCTS,
     DendElement,
+    _nodes,
     _tree_star,
     _unit_star,
-    dprec,
-    dsucc,
-    dstar,
     pbt_expr,
+    product_sum,
 )
 
 
@@ -33,15 +33,37 @@ class TensorSquareElement(LinComb):
 
     @classmethod
     def from_product(cls, x: DendElement, y: DendElement):
-        """x (x) y for two algebra elements."""
-        return cls(((t, s), a * b) for t, a in x.terms.items() for s, b in y.terms.items())
+        """x (x) y for two algebra elements.  The pairs of terms are
+        distinct keys and a product of nonzero coefficients is nonzero,
+        so the dict is built as it is stored."""
+        ys = y.terms.items()
+        return _from_terms(cls, {(t, s): a * b for t, a in x.terms.items() for s, b in ys})
 
     def map_legs(self, f):
         """Apply the linear map given by f on basis trees (LEAF
-        included), f(t) a DendElement, to both legs."""
-        return TensorSquareElement.sum(
-            (TensorSquareElement.from_product(f(l), f(r)), c) for (l, r), c in self.terms.items()
-        )
+        included), f(t) a DendElement, to both legs.
+
+        The terms are grouped by left leg l: sum c*f(r) over the group
+        goes into one dict, and f(l) (x) that sum into the result.  f is
+        called once per distinct leg."""
+        images = {}
+        by_left = {}
+        for (l, r), c in self.terms.items():
+            image = images.get(r)
+            if image is None:
+                image = images[r] = f(r).terms
+            right = by_left.get(l)
+            if right is None:
+                right = by_left[l] = {}
+            add_into(right, c, image)
+        out = {}
+        for l, right in by_left.items():
+            image = images.get(l)
+            if image is None:
+                image = images[l] = f(l).terms
+            for u, a in image.items():
+                add_into(out, a, {(u, v): b for v, b in right.items()})
+        return _from_terms(TensorSquareElement, out)
 
     def items(self):
         """Terms by total degree, then by the two legs' expressions."""
@@ -59,18 +81,23 @@ class TensorSquareElement(LinComb):
 
 @lru_cache(maxsize=None)
 def _delta_tree(t) -> LinComb:
-    if t.is_leaf():
+    if t is LEAF:
         return LinComb.single((LEAF, LEAF))
-    parts = [({(t, LEAF): 1}, 1)]
+    d = {(t, LEAF): 1}
+    get = d.get
+    label = t.label
+    delta_right = _delta_tree(t.right).terms.items()
     for (l1, l2), a in _delta_tree(t.left).terms.items():
-        for (r1, r2), b in _delta_tree(t.right).terms.items():
-            right = PBT(l2, t.label, r2)
-            if l1.is_leaf() or r1.is_leaf():
-                star = _unit_star(l1, r1)
-            else:
-                star = _tree_star(l1, r1)
-            parts.append(({(u, right): 1 for u in star}, a * b))
-    return LinComb.sum(parts)
+        for (r1, r2), b in delta_right:
+            right = _nodes[l2, label, r2]
+            k = a * b
+            for u in _unit_star(l1, r1) if l1 is LEAF or r1 is LEAF else _tree_star(l1, r1):
+                w = get((u, right), 0) + k
+                if w:
+                    d[u, right] = w
+                else:
+                    del d[u, right]
+    return _from_terms(LinComb, d)
 
 
 def coproduct(e: DendElement) -> TensorSquareElement:
@@ -88,23 +115,43 @@ def reduced_coproduct(e: DendElement) -> TensorSquareElement:
 def compat_defect(x: DendElement, y: DendElement, side: str) -> TensorSquareElement:
     """delta(x # y) minus the Sweedler expansion (x1*y1)(x)(x2 # y2)
     + (x # y)(x)1, the ghost term with both right legs 1 omitted.
-    side is '<' or '>'."""
+    side is '<' or '>'.
+
+    Both sums are accumulated as one dict of tensor terms from the
+    terms of _delta_tree and the cached tree products, with the unit
+    rules at LEAF, as in product_sum."""
     if side not in ("<", ">"):
         raise ValueError("side must be '<' or '>', got %r" % (side,))
     if x.unit or y.unit:
         raise ValueError("compatibility is stated on the positive part")
-    op = dprec if side == "<" else dsucc
-    prod = op(x, y)
-    sweedler = [(TensorSquareElement.from_product(prod, DendElement.one()), 1)]
-    delta_y = coproduct(y).terms.items()
-    for (x1, x2), a in coproduct(x).terms.items():
-        for (y1, y2), b in delta_y:
-            if x2.is_leaf() and y2.is_leaf():
-                continue
-            left = dstar(DendElement.from_tree(x1), DendElement.from_tree(y1))
-            right = op(DendElement.from_tree(x2), DendElement.from_tree(y2))
-            sweedler.append((TensorSquareElement.from_product(left, right), a * b))
-    return coproduct(prod) - TensorSquareElement.sum(sweedler)
+    tree_op, unit_rule = _PRODUCTS[side]
+    prod = product_sum(((x, side, y, 1),))
+    d = {}
+    for u, c in prod.terms.items():
+        add_into(d, c, _delta_tree(u).terms)
+    add_into(d, -1, {(u, LEAF): c for u, c in prod.terms.items()})
+    delta_y = [(k, c * b) for s, c in y.terms.items() for k, b in _delta_tree(s).terms.items()]
+    get = d.get
+    for t, c in x.terms.items():
+        for (x1, x2), a in _delta_tree(t).terms.items():
+            ca = -c * a
+            for (y1, y2), b in delta_y:
+                if x2 is not LEAF and y2 is not LEAF:
+                    rights = tree_op(x2, y2)
+                elif x2 is y2:
+                    continue  # the ghost term
+                else:
+                    rights = unit_rule(x2, y2)
+                lefts = _unit_star(x1, y1) if x1 is LEAF or y1 is LEAF else _tree_star(x1, y1)
+                k = ca * b
+                for u in lefts:
+                    for v in rights:
+                        w = get((u, v), 0) + k
+                        if w:
+                            d[u, v] = w
+                        else:
+                            del d[u, v]
+    return _from_terms(TensorSquareElement, d)
 
 
 def primitives(degree: int, alphabet) -> list:

@@ -1,8 +1,13 @@
 """Exact rational scalars, formal linear combinations and row reduction.
 
 Every coefficient in the system is an exact ``int`` or
-``fractions.Fraction``; a ``Fraction`` comes only from a division or
-from parsed input, so integer arithmetic stays on ints.  The rest of the
+``fractions.Fraction``.  Sums and products of ints stay ints; a
+``Fraction`` comes from parsed input or from a division, and the
+echelon forms divide: ``EchelonSpan.rref_rows`` stores every entry as
+``Fraction(x, q)``, and ``kernel_basis`` every entry but the free
+column's 1, also where q divides x.  So every RREF pivot is
+``Fraction(1)``, and the entries that a reduction or a kernel vector
+reads off them are Fractions even when integral.  The rest of the
 package does linear algebra in ``LinComb``s only, through a ``Span``
 over an ordered list of keys and ``kernel_basis``; only these two make
 a combination a coordinate row, a ``dict`` from column index to
@@ -15,7 +20,9 @@ c*terms in place on dicts of terms): ``combine`` (``+``, ``-``) and
 ``LinComb.sum``, which builds a whole linear or multilinear extension
 in one pass.  ``dendriform.product_sum`` does the same for sums of
 products in its own loop, since a product of two trees is a tuple of
-distinct trees, each with coefficient 1, and not a dict of terms.
+distinct trees, each with coefficient 1, and not a dict of terms;
+``bialgebra._delta_tree`` and ``bialgebra.compat_defect`` sum tensor
+products of such tuples the same way.
 
 The package's element types (``DendElement``, ``TensorSquareElement``)
 subclass ``LinComb``.  Arithmetic keeps the class of its left operand,
@@ -23,9 +30,9 @@ equality holds only between combinations of the same class, and a
 subclass prints in its own ``items()`` order through its ``_term``.
 Every public result is a ``LinComb``.  Below that, the cached products
 of two trees (``dendriform._tree_prec``, ``_tree_succ`` and
-``_tree_star``) are tuples of trees, which ``product_sum`` and
-``bialgebra._delta_tree`` read; ``_delta_tree`` itself stays a
-``LinComb``.
+``_tree_star``) are tuples of trees, which ``product_sum``,
+``bialgebra._delta_tree`` and ``compat_defect`` read; ``_delta_tree``
+itself stays a ``LinComb``.
 
 ``EchelonSpan`` (``Span``'s engine), ``to_int_row`` and ``_kernel``
 keep their names only because the benchmark's tracer

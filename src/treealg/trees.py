@@ -187,8 +187,8 @@ class PBT:
     LEAF is the unique empty tree (degree 0); it stands for the unit
     when a node slot is vacant and never occurs as a basis element.
     copy.copy and copy.deepcopy return the node itself, and an unpickled
-    tree is rebuilt through the table, so it is the interned node; LEAF
-    pickles and copies as the module's LEAF.
+    tree is rebuilt through the table from its postorder labels, so it
+    is the interned node; LEAF pickles and copies as the module's LEAF.
     """
 
     __slots__ = ("left", "label", "right", "_str", "degree")
@@ -198,7 +198,21 @@ class PBT:
         return cls._nodes[left, label, right]
 
     def __reduce__(self):
-        return PBT, (self.left, self.label, self.right)
+        # the tree pickles as its postorder labels, None marking a leaf,
+        # read off an explicit stack, so a deep comb pickles without
+        # one call per level
+        code = []
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if t is LEAF:
+                code.append(None)
+            else:
+                code.append(t.label)
+                stack.append(t.left)
+                stack.append(t.right)
+        code.reverse()
+        return _pbt_from_postorder, (tuple(code),)
 
     def __copy__(self):
         return self
@@ -242,6 +256,19 @@ class PBT:
             mapping.get(self.label, self.label),
             self.right.relabel(mapping),
         )
+
+
+def _pbt_from_postorder(code):
+    """The tree whose postorder labels, None marking a leaf, are code,
+    built through the node table from an explicit stack."""
+    stack = []
+    for label in code:
+        if label is None:
+            stack.append(LEAF)
+        else:
+            right = stack.pop()
+            stack[-1] = PBT._nodes[stack[-1], label, right]
+    return stack[0]
 
 
 class _Leaf:

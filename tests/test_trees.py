@@ -318,3 +318,20 @@ def test_copies_and_pickles_are_the_interned_tree():
             c = f(u)
             assert c == u
             assert dstar(c, a) == dstar(u, a) and dstar(a, c) == dstar(a, u)
+
+
+def test_deep_combs_pickle_to_the_interned_tree():
+    # a tree pickles flat, so combs far deeper than the recursion limit
+    # round-trip, alone and inside an element, at the default limit
+    n = 5000
+    left = right = LEAF
+    for _ in range(n):
+        left = PBT(left, "a", LEAF)
+        right = PBT(LEAF, "b", right)
+    zigzag = LEAF
+    for i in range(n):
+        zigzag = PBT(zigzag, "a", LEAF) if i % 2 else PBT(LEAF, "b", zigzag)
+    for t in (left, right, zigzag):
+        assert pickle.loads(pickle.dumps(t)) is t
+        (u,) = pickle.loads(pickle.dumps(DendElement.from_tree(t, 2))).terms
+        assert u is t
