@@ -6,7 +6,7 @@ from functools import lru_cache, partial
 from itertools import permutations, product
 from math import factorial
 
-from treealg.linalg import Span, add_into
+from treealg.linalg import Span
 from treealg.trees import LEAF, catalan, generator_names, parse_rooted, pbt_basis, planar_trees, rooted_trees
 from treealg.dendriform import (
     DendElement,

@@ -1,26 +1,32 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from treealg import _kernel
 from treealg.linalg import LinComb, Span, kernel_basis
-from treealg.trees import LEAF, generator_names, parse_pbt, pbt_basis
+from treealg.trees import LEAF, PBT, generator_names, parse_pbt, pbt_basis
 from treealg.dendriform import (
     DEND_ONE,
     DendElement,
+    _tree_star,
+    _unit_star,
     dprec,
     dstar,
     dsucc,
     pbt_expr,
     upcomb,
 )
+from treealg import bialgebra
 from treealg.bialgebra import (
     TensorSquareElement,
+    _delta_tree,
     compat_defect,
     coproduct,
     primitives,
     reduced_coproduct,
 )
+from treealg.envelope import build_envelope, trivial_brace
 from treealg.suites import (
     suite_bialgebra,
     suite_coprod_mont,
@@ -112,6 +118,159 @@ def test_coproduct_and_map_legs_with_a_unit_part_and_fractions():
         " - 6*[a>b (x) 1] + b (x) a - 12*[a<b (x) b] - 12*[a>b (x) b] + 2*[b (x) a<b]"
         " + 2*[b (x) a>b]"
     )
+
+
+# the replaced bodies of from_product, map_legs, _delta_tree,
+# compat_defect and the coassociativity check, kept verbatim (recursion
+# and calls renamed) as the oracles of the dict-based ones
+
+
+def old_from_product(x, y):
+    return TensorSquareElement(((t, s), a * b) for t, a in x.terms.items() for s, b in y.terms.items())
+
+
+def old_map_legs(self, f):
+    return TensorSquareElement.sum((old_from_product(f(l), f(r)), c) for (l, r), c in self.terms.items())
+
+
+@lru_cache(maxsize=None)
+def old_delta_tree(t):
+    if t.is_leaf():
+        return LinComb.single((LEAF, LEAF))
+    parts = [({(t, LEAF): 1}, 1)]
+    for (l1, l2), a in old_delta_tree(t.left).terms.items():
+        for (r1, r2), b in old_delta_tree(t.right).terms.items():
+            right = PBT(l2, t.label, r2)
+            if l1.is_leaf() or r1.is_leaf():
+                star = _unit_star(l1, r1)
+            else:
+                star = _tree_star(l1, r1)
+            parts.append(({(u, right): 1 for u in star}, a * b))
+    return LinComb.sum(parts)
+
+
+def old_triple_coproduct_equal(t):
+    delta = bialgebra._delta_tree
+    terms = delta(t).terms.items()
+    left = LinComb.sum((delta(l).map_keys(lambda k: k + (r,)), c) for (l, r), c in terms)
+    right = LinComb.sum((delta(r).map_keys(lambda k: (l,) + k), c) for (l, r), c in terms)
+    return left == right
+
+
+def old_compat_defect(x, y, side):
+    if side not in ("<", ">"):
+        raise ValueError("side must be '<' or '>', got %r" % (side,))
+    if x.unit or y.unit:
+        raise ValueError("compatibility is stated on the positive part")
+    op = dprec if side == "<" else dsucc
+    prod = op(x, y)
+    sweedler = [(old_from_product(prod, DendElement.one()), 1)]
+    delta_y = coproduct(y).terms.items()
+    for (x1, x2), a in coproduct(x).terms.items():
+        for (y1, y2), b in delta_y:
+            if x2.is_leaf() and y2.is_leaf():
+                continue
+            left = dstar(DendElement.from_tree(x1), DendElement.from_tree(y1))
+            right = op(DendElement.from_tree(x2), DendElement.from_tree(y2))
+            sweedler.append((old_from_product(left, right), a * b))
+    return coproduct(prod) - TensorSquareElement.sum(sweedler)
+
+
+def test_from_product_and_map_legs_match_the_old_bodies():
+    a, b = parse_pbt("(* a *)"), parse_pbt("(* b *)")
+    half = Fraction(1, 2)
+    elements = [
+        DEND_ONE,
+        DendElement(),
+        A.scale(half) - dprec(A, B) + DEND_ONE.scale(3),
+        dstar(A, B) + dsucc(B, A).scale(Fraction(-2, 3)),
+    ]
+    for x in elements:
+        for y in elements:
+            got = TensorSquareElement.from_product(x, y)
+            assert type(got) is TensorSquareElement and got.terms == old_from_product(x, y).terms
+    images = {a: A + B, b: -A}  # f(a) + f(b) cancels the a in the sum over a's group
+    maps = [
+        lambda s: dstar(DendElement.from_tree(s), DEND_ONE + B.scale(2)),
+        lambda s: DendElement() if s is b else DendElement.from_tree(s, half),
+        lambda s: images.get(s, DendElement.from_tree(s)),
+        lambda s: DendElement(),
+    ]
+    t = (
+        tens(DEND_ONE, A).scale(half)
+        - tens(A, DEND_ONE).scale(3)
+        + tens(A, A)
+        + tens(A, B)
+        + tens(B, dprec(A, B)).scale(Fraction(2, 3))
+        + tens(DEND_ONE, DEND_ONE)
+        - tens(B, B)
+    )
+    for u in (t, coproduct(dstar(dprec(A, B), A)), TensorSquareElement()):
+        for f in maps:
+            got = u.map_legs(f)
+            assert type(got) is TensorSquareElement and got.terms == old_map_legs(u, f).terms
+            assert 0 not in got.terms.values()
+
+
+def test_map_legs_calls_f_once_per_distinct_leg():
+    q = build_envelope(trivial_brace(2), 3)
+    calls = []
+
+    def class_of(s):
+        calls.append(s)
+        return q.class_of(s)
+
+    for row in q.span.basis_elements():
+        d = coproduct(row)
+        calls.clear()
+        assert d.map_legs(class_of) == old_map_legs(d, q.class_of)
+        legs = {leg for key in d.terms for leg in key}
+        assert sorted(calls, key=str) == sorted(legs, key=str)
+
+
+def test_compat_defect_matches_the_old_body():
+    trees = {d: pbt_basis(d, ["a", "b"]) for d in (1, 2, 3)}
+    pairs = [(t1, t2) for d1 in trees for d2 in trees if d1 + d2 <= 4 for t1 in trees[d1] for t2 in trees[d2]]
+    third = Fraction(1, 3)
+    mixed = [
+        A.scale(2) - dprec(A, B),
+        B + dsucc(B, A).scale(third),
+        dstar(A, A).scale(Fraction(-3, 4)) + A + dprec(B, dsucc(A, B)).scale(third),
+        dprec(A, B) - dsucc(A, B),
+    ]
+    cases = [(DendElement.from_tree(t1), DendElement.from_tree(t2)) for t1, t2 in pairs]
+    cases += [(x, y) for x in mixed for y in mixed]
+    for x, y in cases:
+        for side in ("<", ">"):
+            got = compat_defect(x, y, side)
+            assert type(got) is TensorSquareElement and got.terms == old_compat_defect(x, y, side).terms
+
+
+def test_delta_tree_matches_the_old_body():
+    for d in range(1, 6):
+        for t in pbt_basis(d, ["a", "b"]):
+            got = _delta_tree(t)
+            assert type(got) is LinComb and got.terms == old_delta_tree(t).terms
+    assert _delta_tree(LEAF).terms == old_delta_tree(LEAF).terms
+
+
+def test_triple_coproduct_equal_matches_the_old_check_on_a_broken_coproduct(monkeypatch):
+    # with delta(a) = 2 a(x)1 + 1(x)a the check fails on a and holds on
+    # the trees in b alone; both versions must give every verdict alike
+    trees = [t for d in range(1, 5) for t in pbt_basis(d, ["a", "b"])]
+    good = _delta_tree
+    for t in trees:
+        good(t)  # fill the cache, so the recursion never meets the patch
+    a = parse_pbt("(* a *)")
+
+    def broken(t):
+        return good(t) + LinComb.single((a, LEAF)) if t is a else good(t)
+
+    monkeypatch.setattr(bialgebra, "_delta_tree", broken)
+    verdicts = [_triple_coproduct_equal(t) for t in trees]
+    assert verdicts == [old_triple_coproduct_equal(t) for t in trees]
+    assert not verdicts[trees.index(a)]
+    assert all(v for t, v in zip(trees, verdicts) if "a" not in str(t))
 
 
 def test_coproduct_degree_compatible():
