@@ -88,27 +88,19 @@ def cmd_envelope(args):
     defects = env.validate_brace(b, args.bound + 1)
     if defects:
         return {"valid": False}, defects
-    report, defects = env.build_envelope(b, args.bound, slack=args.slack).report()
+    report, defects = env.build_envelope(b, args.bound).report()
     return report | {"valid": True}, defects
 
 
-def _int_at_least(low):
-    """argparse type: an integer >= low."""
-
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
-        if value < low:
-            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
-        return value
-
-    return parse
-
-
-POSITIVE = _int_at_least(1)
-NONNEGATIVE = _int_at_least(0)
+def _positive(text):
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
 
 
 def _print_text(result, defects, stream):
@@ -152,24 +144,23 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_coproduct)
 
     p = add_parser("primitives", help="primitive basis of a graded slice")
-    p.add_argument("--gens", type=POSITIVE, required=True)
-    p.add_argument("--degree", type=POSITIVE, required=True)
+    p.add_argument("--gens", type=_positive, required=True)
+    p.add_argument("--degree", type=_positive, required=True)
     p.set_defaults(func=cmd_primitives)
 
     p = add_parser("dims", help="free algebra and primitive dimensions")
-    p.add_argument("--gens", type=POSITIVE, required=True)
-    p.add_argument("--upto", type=POSITIVE, required=True)
+    p.add_argument("--gens", type=_positive, required=True)
+    p.add_argument("--upto", type=_positive, required=True)
     p.set_defaults(func=cmd_dims)
 
     p = add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--bound", type=POSITIVE, default=None)
+    p.add_argument("--bound", type=_positive, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = add_parser("envelope", help="envelope of a brace structure from JSON")
     p.add_argument("--brace", required=True, help="BraceStructure JSON file")
-    p.add_argument("--bound", type=POSITIVE, default=4)
-    p.add_argument("--slack", type=NONNEGATIVE, default=1)
+    p.add_argument("--bound", type=_positive, default=4)
     p.set_defaults(func=cmd_envelope)
 
     try:

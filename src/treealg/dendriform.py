@@ -356,7 +356,8 @@ class DendSpan:
 
         Products whose top degree exceeds the cutoff are dropped whole;
         an inhomogeneous ideal may therefore be under-approximated near
-        the cutoff, which callers defend against with slack + stability.
+        the cutoff, which build_envelope detects by saturating once more
+        one degree further (stable).
         """
         by_degree = {}
         for t in self.span.columns:

@@ -403,16 +403,14 @@ class TruncatedQuotient:
         }, defects
 
 
-def build_envelope(b: BraceStructure, bound: int, slack: int = 1) -> TruncatedQuotient:
-    """Saturate the relation ideal inside degrees <= bound+slack and
-    truncate to the report bound.
+def build_envelope(b: BraceStructure, bound: int) -> TruncatedQuotient:
+    """Saturate the relation ideal inside degrees <= bound.
 
-    graded is true when every declared structure constant of tuple
-    weight <= max(bound+slack, 2) is a combination of letters of that
-    weight.  The relation generators are then homogeneous, the ideal is
-    graded and truncation is exact: the ideal is saturated up to bound
-    only, stable is True and dims_next is None.  Otherwise the ideal is
-    also saturated inside degrees <= bound+slack+1; dims_next holds that
+    graded is true when every declared structure constant is a
+    combination of letters of its tuple's weight.  The relation
+    generators are then homogeneous, the ideal is graded and truncation
+    is exact: stable is True and dims_next is None.  Otherwise the ideal
+    is also saturated inside degrees <= bound+1; dims_next holds that
     run's dims(), and stable says whether it agrees with dims().  An
     unstable truncation is a defect of report().
 
@@ -420,28 +418,23 @@ def build_envelope(b: BraceStructure, bound: int, slack: int = 1) -> TruncatedQu
     run validate_brace first, as the envelope CLI verb does.  A
     truncation (weight_bound set) is refused beyond its weight_bound.
     """
-    if bound < 1 or slack < 0:
-        raise BraceError(
-            "an envelope needs bound >= 1 and slack >= 0, got %r and %r" % (bound, slack)
-        )
+    if bound < 1:
+        raise BraceError("an envelope needs bound >= 1, got %r" % (bound,))
     if b.weight_bound is not None and bound > b.weight_bound:
         raise BraceError("structure constants unknown beyond total weight %d" % b.weight_bound)
     letters = b.letters()
-    reach = max(bound + slack, 2)
     graded = all(
         b.weights[i] == b.tuple_weight(root, args)
         for (root, args), value in b.products.items()
-        if b.tuple_weight(root, args) <= reach
         for i in value.terms
     )
-    if graded:
-        gens = relation_generators(b, max(bound, 2))
-        return TruncatedQuotient(b, bound, DendSpan(letters, bound).saturate(gens), True)
     # saturate() skips the generators above its cutoff, so one list
     # serves both runs
-    gens = relation_generators(b, bound + slack + 1)
-    span = DendSpan(letters, bound + slack).saturate(gens)
-    next_run = TruncatedQuotient(b, bound, DendSpan(letters, bound + slack + 1).saturate(gens), False)
+    gens = relation_generators(b, max(bound, 2) if graded else bound + 1)
+    span = DendSpan(letters, bound).saturate(gens)
+    if graded:
+        return TruncatedQuotient(b, bound, span, True)
+    next_run = TruncatedQuotient(b, bound, DendSpan(letters, bound + 1).saturate(gens), False)
     return TruncatedQuotient(b, bound, span, False, next_run.dims())
 
 
@@ -464,7 +457,8 @@ def envelope_primitives(q: TruncatedQuotient):
     primitives span exactly the lines of the letters of weight <= the
     bound, then one {"case": "structure constants", "root", "args"}
     entry per relation tuple within the bound (zero constants included,
-    in _relations order) that does not reduce to 0.
+    in _relations order) that does not reduce to 0, or whose value is
+    heavier than the truncation.
     """
     classes = [t for _, trees in sorted(q.quotient_trees().items()) for t in trees]
     # a class tree is a non-pivot column, so it is its own class
@@ -484,10 +478,12 @@ def envelope_primitives(q: TruncatedQuotient):
     defects = []
     if len(elems) != len(letters) or any(_express(q.reduce(x), elems, leads)[1] for x in letters):
         defects.append({"case": "primitives", "count": len(elems), "letters": len(letters)})
+    # a relation above the truncation has a value heavier than its
+    # tuple, which lies within the bound: it cannot reduce to 0 there
     defects += [
         {"case": "structure constants", "root": tup[0], "args": list(tup[1:])}
         for tup, rel in _relations(b, q.bound)
-        if not q.reduce(rel).is_zero()
+        if q.span.top_wdeg(rel) > q.span.cutoff or not q.reduce(rel).is_zero()
     ]
     return elems, dims, defects
 
@@ -540,7 +536,7 @@ def envelope_word_class(q: TruncatedQuotient, letters_seq) -> DendElement:
 def theta_roundtrip(n_gens: int, bound: int) -> dict:
     """Harvest the primitives of the free algebra, build the envelope of
     the harvested brace, and compare the two along the canonical map.
-    The harvested brace is graded, so its envelope is exact at slack 0.
+    The harvested brace is graded, so its truncated envelope is exact.
 
     Reports per-degree dimension equality, per-degree surjectivity of
     the evaluation map, and coproduct intertwining on the up-comb
@@ -549,7 +545,7 @@ def theta_roundtrip(n_gens: int, bound: int) -> dict:
     """
     alphabet = generator_names(n_gens)
     b, prims = harvest_brace(n_gens, bound)
-    q = build_envelope(b, bound, slack=0)
+    q = build_envelope(b, bound)
     assign = {name: prims[i] for i, name in enumerate(b.basis)}
 
     def theta(e: DendElement) -> DendElement:

@@ -63,7 +63,7 @@ def _angle_graftings(entering, inner):
     for combo in combinations_with_replacement(range(len(angle_list)), len(entering)):
         insertions = {}
         for child, ai in zip(entering, combo):
-            insertions.setdefault(tuple(angle_list[ai]), []).append(child)
+            insertions.setdefault(angle_list[ai], []).append(child)
         yield _insert_at_angles(inner, insertions)
 
 

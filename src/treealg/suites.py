@@ -549,7 +549,7 @@ def suite_envelope_free(bound=4):
     bad = env.validate_brace(b, bound + 1)
     if bad:
         defects.append({"case": "harvested structure invalid", "count": len(bad)})
-    q = env.build_envelope(b, bound, slack=0)
+    q = env.build_envelope(b, bound)
     dims = q.dims()
     expected = {0: 1}
     for d in range(1, bound + 1):

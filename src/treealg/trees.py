@@ -30,7 +30,6 @@ import re
 from functools import lru_cache
 from itertools import permutations
 from math import comb
-from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -57,7 +56,7 @@ class _LabeledTree:
     order in _order.  Trees of different subclasses are never equal,
     even when they print the same."""
 
-    __slots__ = ("label", "children", "_str", "_hash", "size")
+    __slots__ = ("label", "children", "_str", "_hash")
 
     def __init__(self, label, children=()):
         self.label = label
@@ -68,7 +67,6 @@ class _LabeledTree:
             s = label
         self._str = s
         self._hash = hash(s)
-        self.size = 1 + sum(c.size for c in self.children)
 
     def __str__(self):
         return self._str
@@ -302,16 +300,10 @@ class _Leaf:
 LEAF = _Leaf()
 
 
-class Angle(NamedTuple):
-    """Planar region at a vertex: slot k sits between incoming edges
-    k and k+1 (slot 0 left of all, slot d right of all)."""
-
-    vertex: str
-    slot: int
-
-
 def angles(t: PlanarTree):
-    """All angles of t in global left-to-right planar order.
+    """All angles of t in global left-to-right planar order, as
+    (vertex label, slot) pairs: slot k at a vertex sits between its
+    incoming edges k and k+1 (slot 0 left of all, slot d right of all).
 
     Depth-first emission: a vertex's slot-k angle appears between the
     traversals of its k-th and (k+1)-th child subtrees, which matches
@@ -323,10 +315,10 @@ def angles(t: PlanarTree):
 
 
 def _walk_angles(v, out):
-    out.append(Angle(v.label, 0))
+    out.append((v.label, 0))
     for i, c in enumerate(v.children):
         _walk_angles(c, out)
-        out.append(Angle(v.label, i + 1))
+        out.append((v.label, i + 1))
 
 
 _TOKEN_RE = re.compile(r"\s*(%s|[(),*<>{}|])" % LABEL_RE.pattern)

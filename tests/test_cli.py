@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -27,6 +28,48 @@ def run_cli(argv):
     finally:
         sys.stdout, sys.stderr = old
     return code, out.getvalue(), err.getvalue()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks():
+    """(info string, lines) of each fenced block of README.md."""
+    blocks, info, lines = [], None, []
+    for line in README.read_text().splitlines():
+        if not line.startswith("```"):
+            if info is not None:
+                lines.append(line)
+        elif info is None:
+            info, lines = line[3:], []
+        else:
+            blocks.append((info, lines))
+            info = None
+    return blocks
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # README's sample brace file, then every treealg line of its CLI
+    # block; an indented line under a command is a line it prints
+    blocks = _readme_blocks()
+    sample = next(lines for info, lines in blocks if info == "json")
+    (tmp_path / "mybrace.json").write_text("\n".join(sample))
+    monkeypatch.chdir(tmp_path)
+    cli_block = next(lines for info, lines in blocks if info == "" and lines[0].startswith("treealg "))
+    runs = []
+    for line in cli_block:
+        if line.startswith("treealg "):
+            runs.append((shlex.split(line, comments=True)[1:], []))
+        elif line.strip():
+            runs[-1][1].append(line.strip())
+    assert [argv[0] for argv, _ in runs] == [
+        "compose", "eval", "coproduct", "primitives", "dims", "verify", "envelope"
+    ]
+    for argv, shown in runs:
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, ""), (argv, code, err)
+        for text in shown:
+            assert text in out.splitlines(), (argv, text, out)
 
 
 def test_compose_example():
@@ -146,7 +189,7 @@ def test_envelope_value_heavier_than_its_tuple(tmp_path):
         json.dumps({"dim": 2, "basis": ["a", "b"], "weights": [1, 5], "products": [_product(index=1)]})
     )
     for bound in ("2", "5"):
-        argv = ["--output", "json", "envelope", "--brace", str(path), "--bound", bound, "--slack", "0"]
+        argv = ["--output", "json", "envelope", "--brace", str(path), "--bound", bound]
         code, out, err = run_cli(argv)
         doc = json.loads(out)
         assert (code, err, doc["result"]) == (1, "", {"valid": False})
@@ -162,7 +205,7 @@ def test_envelope_reports_the_primitive_and_constant_defects(tmp_path, monkeypat
     path.write_text(json.dumps({"dim": 2, "basis": ["a", "b"], "products": []}))
     relation_generators = envelope.relation_generators
     monkeypatch.setattr(envelope, "relation_generators", lambda b, bound: relation_generators(b, bound)[1:])
-    argv = ["--output", "json", "envelope", "--brace", str(path), "--bound", "3", "--slack", "0"]
+    argv = ["--output", "json", "envelope", "--brace", str(path), "--bound", "3"]
     code, out, err = run_cli(argv)
     doc = json.loads(out)
     assert (code, err, doc["result"]["dims"]) == (1, "", [1, 2, 5, 13])
@@ -246,7 +289,8 @@ BAD_ARGS = [
     ["primitives", "--gens", "0", "--degree", "2"],
     ["verify", "--suite", "axioms", "--bound", "0"],
     ["envelope", "--brace", "unused.json", "--bound", "0"],
-    ["envelope", "--brace", "unused.json", "--slack", "-1"],
+    # the truncation rule is fixed; there is no option for it
+    ["envelope", "--brace", "unused.json", "--slack", "1"],
     ["envelope", "--brace", "/nonexistent/brace.json"],
     ["eval", "--expr", "1<1"],
     # one grouping of each chain forms 1>1 or 1<1
@@ -539,7 +583,7 @@ def test_fuzz_brace_json_parser(text):
         path = os.path.join(tmp, "brace.json")
         with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
             fh.write(text)
-        argv = ["--output", "json", "envelope", "--brace", path, "--bound", "2", "--slack", "0"]
+        argv = ["--output", "json", "envelope", "--brace", path, "--bound", "2"]
         code, out, err = run_cli(argv)
     if code == 1:
         # a structure that parsed but fails the brace relations

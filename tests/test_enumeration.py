@@ -84,7 +84,7 @@ def test_structure_roundtrip_checks_every_tuple_within_the_bound():
     # nonzero products, of weight up to 4, is a structure-constants
     # defect, by arity and then in product order
     b, _ = harvest_brace(1, 4)
-    q = build_envelope(b, 4, slack=0)
+    q = build_envelope(b, 4)
     assert envelope_primitives(q)[2] == []
     q.brace = BraceStructure(b.dim, b.basis, {}, weights=b.weights, weight_bound=4)
     expected = sorted(b.products, key=lambda key: (len(key[1]), key[0], key[1]))

@@ -163,7 +163,7 @@ def test_envelope_degree_overflow():
 def test_class_of_is_reduce_on_every_column():
     # class_of returns a non-pivot column, LEAF among them, without
     # reducing it; a tree off the columns still overflows in reduce
-    q = build_envelope(trivial_brace(2), 4, 0)
+    q = build_envelope(trivial_brace(2), 4)
     for t in q.span.span.columns:
         assert q.class_of(t) == q.reduce(DendElement.from_tree(t)), str(t)
     with pytest.raises(BraceError):
@@ -263,8 +263,8 @@ def test_wdeg_table_matches_decoration_sum(weights):
     # from a second saturation one degree higher
     b = BraceStructure(len(letters), letters, {(0, (0,)): LinComb.single(0)}, list(weights.values()))
     for bound in (1, 2):
-        q = build_envelope(b, bound, 1)
-        span_next = DendSpan(weights, bound + 2).saturate(relation_generators(b, bound + 2))
+        q = build_envelope(b, bound)
+        span_next = DendSpan(weights, bound + 1).saturate(relation_generators(b, bound + 1))
         assert not q.graded and q.dims_next == old_filtration_dims(span_next, bound)
 
 
@@ -315,19 +315,19 @@ def test_envelope_primitives_trivial():
 
 def test_envelope_primitives_are_the_reduced_echelon_kernel():
     cases = [
-        (trivial_brace(2), 4, 1),
-        (harvest_brace(1, 4)[0], 4, 0),
-        (harvest_brace(2, 3)[0], 3, 0),
-        (assoc_brace(), 4, 1),
-        (mixed_brace(), 2, 0),
-        (mixed_brace(), 3, 1),
-        (weighted_inhomogeneous_brace(), 3, 1),
-        (invalid_brace(), 3, 1),
-        (heavy_value_brace(), 4, 0),
+        (trivial_brace(2), 4),
+        (harvest_brace(1, 4)[0], 4),
+        (harvest_brace(2, 3)[0], 3),
+        (assoc_brace(), 4),
+        (mixed_brace(), 2),
+        (mixed_brace(), 3),
+        (weighted_inhomogeneous_brace(), 3),
+        (invalid_brace(), 3),
+        (heavy_value_brace(), 4),
     ]
     one, tensor = DendElement.one(), TensorSquareElement.from_product
-    for b, bound, slack in cases:
-        q = build_envelope(b, bound, slack)
+    for b, bound in cases:
+        q = build_envelope(b, bound)
         classes = [t for _, trees in sorted(q.quotient_trees().items()) for t in trees]
         images = [
             q.coproduct(DendElement.from_tree(t)) - tensor(q.class_of(t), one) - tensor(one, q.class_of(t))
@@ -376,7 +376,7 @@ def test_letter_off_the_primitive_span_is_a_defect():
 
 def test_envelope_of_associative_brace():
     b = assoc_brace()
-    q = build_envelope(b, 4, slack=1)
+    q = build_envelope(b, 4)
     assert q.dims() == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
     assert q.stable and not q.graded
     elems, dims, defects = envelope_primitives(q)
@@ -384,56 +384,82 @@ def test_envelope_of_associative_brace():
 
 
 def mixed_brace():
-    """{a|b} = a - b: inhomogeneous, and unstable at bound 2 without slack.
+    """{a|b} = a - b: inhomogeneous, and unstable at bound 2.
     It is invalid on purpose: it breaks the brace relation at arity 3."""
     return BraceStructure(2, ["a", "b"], {(0, (1,)): LinComb([(0, 1), (1, -1)])})
 
 
 def test_dims_next_is_the_dims_of_the_next_slack_run():
-    cases = [(assoc_brace(), 3, 0), (assoc_brace(), 3, 1), (assoc_brace(), 4, 1), (mixed_brace(), 2, 0)]
-    for b, bound, slack in cases:
-        q = build_envelope(b, bound, slack)
+    # the second saturation, one degree further, is the main one of the
+    # envelope at the next bound, read up to this bound
+    cases = [(assoc_brace(), 2), (assoc_brace(), 3), (mixed_brace(), 2), (weighted_inhomogeneous_brace(), 2)]
+    for b, bound in cases:
+        q = build_envelope(b, bound)
         assert not q.graded
-        assert q.dims_next == build_envelope(b, bound, slack + 1).dims()
+        after = build_envelope(b, bound + 1).dims()
+        assert q.dims_next == {d: n for d, n in after.items() if d <= bound}
         assert q.stable == (q.dims() == q.dims_next)
-    assert not build_envelope(mixed_brace(), 2, 0).stable
+    assert not build_envelope(mixed_brace(), 2).stable
     for b in (trivial_brace(2), harvest_brace(1, 3)[0]):
-        q = build_envelope(b, 3, 1)
+        q = build_envelope(b, 3)
         assert q.graded and q.stable and q.dims_next is None
 
 
 def test_graded_matches_homogeneous_relation_generators():
-    """graded is read off the structure constants; it agrees with the
-    rule it replaced, that every relation generator up to weight
-    max(bound + slack, 2) is homogeneous."""
+    """graded is read off the declared structure constants, whatever
+    the bound; it agrees with the rule that every relation generator up
+    to the heaviest declared tuple is homogeneous."""
     braces = [
         trivial_brace(2),
         assoc_brace(),
         mixed_brace(),
         BraceStructure(2, ["a", "b"], {(0, (0,)): LinComb.single(1)}, weights=[1, 2]),
         heavy_value_brace(),
-        # the only inhomogeneous constant has weight 3
+        # the only inhomogeneous constant has weight 3, past bounds 1 and 2
         BraceStructure(1, ["a"], {(0, (0, 0)): LinComb.single(0)}),
     ]
     seen = set()
     for b in braces:
         wdeg = b.letters()
-        for bound, slack in ((1, 0), (1, 1), (2, 0), (2, 1)):
-            gens = relation_generators(b, max(bound + slack, 2))
-            homogeneous = all(
-                len({sum(wdeg[x] for x in t.decorations()) for t in g.terms}) <= 1
-                for g in gens
-            )
-            assert build_envelope(b, bound, slack).graded == homogeneous
-            seen.add(homogeneous)
+        heaviest = max([2] + [b.tuple_weight(root, args) for root, args in b.products])
+        gens = relation_generators(b, heaviest)
+        homogeneous = all(
+            len({sum(wdeg[x] for x in t.decorations()) for t in g.terms}) <= 1
+            for g in gens
+        )
+        for bound in (1, 2, 3):
+            assert build_envelope(b, bound).graded == homogeneous
+        seen.add(homogeneous)
     assert seen == {True, False}
+
+
+def test_constant_past_the_next_degree_is_seen():
+    """{x|y} = u, {y|x} = -u, {u|x} = u: the inhomogeneous constant has
+    tuple weight 3, one past bound 2.  The report says so: not graded,
+    and the truncation at 2 differs from the one at 3."""
+    report, defects = build_envelope(weighted_inhomogeneous_brace(), 2).report()
+    assert (report["graded"], report["stable"], report["dims"]) == (False, False, [1, 2, 5])
+    assert defects == [{"case": "unstable truncation", "dims_next": {0: 1, 1: 2, 2: 4}}]
+
+
+def test_value_heavier_than_the_truncation_is_a_constants_defect():
+    # {a|a} = b with b of weight 3: at bound 2 the relation a<a - a>a - b
+    # lies past the truncation and cannot hold there; at bound 4 it is
+    # inside, holds, and the extra primitive a<a - a>a is the defect
+    constants = {"case": "structure constants", "root": 0, "args": [0]}
+    report, defects = build_envelope(heavy_value_brace(), 2).report()
+    assert report["primitive_basis"] == ["a", "-a<a + a>a"]
+    assert defects == [{"case": "primitives", "count": 2, "letters": 1}, constants]
+    report, defects = build_envelope(heavy_value_brace(), 4).report()
+    assert report["dims"] == [1, 1, 2, 3, 6]
+    assert [d["case"] for d in defects] == ["primitives", "unstable truncation"]
 
 
 def test_harvest_and_free_envelope():
     b, prims = harvest_brace(1, 3)
     assert b.dim == 4 and b.weights == [1, 2, 3, 3]
     assert validate_brace(b, 4) == []
-    q = build_envelope(b, 3, slack=0)
+    q = build_envelope(b, 3)
     assert q.dims() == {0: 1, 1: 1, 2: 1 + 1, 3: 5}
     assert q.stable
     elems, dims, defects = envelope_primitives(q)
@@ -482,8 +508,6 @@ def test_bad_arguments_raise_brace_error():
         relation_generators(b, 1)
     with pytest.raises(BraceError):
         build_envelope(b, 0)
-    with pytest.raises(BraceError):
-        build_envelope(b, 2, slack=-1)
     with pytest.raises(BraceError):
         build_envelope(harvest_brace(1, 2)[0], 3)
     for dim in (True, 1.0):

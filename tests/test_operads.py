@@ -50,7 +50,7 @@ def test_compose_term_count_law():
         outer = parse_planar(outer_s)
         inner = parse_planar(inner_s)
         k = len(outer.children)
-        a = 2 * inner.size - 1
+        a = 2 * len(inner.labels()) - 1
         out = compose_ape(outer, outer.label, inner)
         assert len(out.terms) == comb(a + k - 1, k)
 

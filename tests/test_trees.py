@@ -11,7 +11,6 @@ from treealg.trees import (
     LABEL_RE,
     LEAF,
     PBT,
-    Angle,
     DuplicateLabelError,
     ParseError,
     angles,
@@ -99,7 +98,7 @@ def test_parse_errors():
 
 
 def test_angles_single_vertex():
-    assert angles(parse_planar("1")) == [Angle("1", 0)]
+    assert angles(parse_planar("1")) == [("1", 0)]
 
 
 def test_angles_corolla():
@@ -120,7 +119,7 @@ def test_angles_count_exhaustive():
 def test_angle_order_at_one_vertex_is_slot_order():
     t = parse_planar("1(2(4),3,5)")
     for v in t.labels():
-        slots = [a.slot for a in angles(t) if a.vertex == v]
+        slots = [slot for vertex, slot in angles(t) if vertex == v]
         assert slots == sorted(slots)
 
 
