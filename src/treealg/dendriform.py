@@ -237,14 +237,33 @@ def _psi_tree(t: PlanarTree, assign) -> DendElement:
 
 def eval_pbt(t, assign) -> DendElement:
     """Evaluate a decorated tree as the product expression it denotes:
-    a node is left > decoration < right, a leaf is the unit."""
-    if t.is_leaf():
-        return DEND_ONE
-    mid = assign[t.label]
-    if not t.right.is_leaf():
-        mid = dprec(mid, eval_pbt(t.right, assign))
-    if not t.left.is_leaf():
-        mid = dsucc(eval_pbt(t.left, assign), mid)
+    a node is left > decoration < right, a leaf is the unit.
+
+    A letter absent from assign stands for itself, and a subtree that
+    carries no assigned letter is its own value: it is taken as the
+    tree, with no product.  So eval_pbt(t, {}) is t, and a node whose
+    own letter is the only one assigned costs two products, its value
+    with its right subtree and then its left subtree with that."""
+    value = _eval_assigned(t, assign)
+    return DendElement.from_tree(t) if value is None else value
+
+
+def _eval_assigned(t, assign):
+    """eval_pbt(t, assign), or None when t carries no assigned letter."""
+    if t is LEAF:
+        return None
+    left, right = t.left, t.right
+    right_value = _eval_assigned(right, assign)
+    left_value = _eval_assigned(left, assign)
+    mid = assign.get(t.label)
+    if mid is None:
+        if right_value is None and left_value is None:
+            return None
+        mid = DendElement.generator(t.label)
+    if right is not LEAF:
+        mid = dprec(mid, DendElement.from_tree(right) if right_value is None else right_value)
+    if left is not LEAF:
+        mid = dsucc(DendElement.from_tree(left) if left_value is None else left_value, mid)
     return mid
 
 

@@ -10,7 +10,7 @@ with S on labels disjoint from T's, such as p+1..p+q."""
 import math
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from treealg.linalg import LinComb, Span
+from treealg.linalg import LinComb, Span, _from_terms
 from treealg.trees import LEAF, PBT, PlanarTree, RootedTree, angles, pbt_shapes
 from treealg.dendriform import DendElement, dprec, dsucc, eval_pbt, positive_body
 
@@ -190,25 +190,31 @@ def multilinear_basis(arity: int):
 
 
 def relabel_element(e: DendElement, mapping) -> DendElement:
-    return e.map_keys(lambda t: t.relabel(mapping))
+    """e with every tree relabelled by mapping.  A mapping injective on
+    the letters of e is injective on its trees, and the relabelled terms
+    are built in one dict; if two trees meet, the dict is shorter than
+    e and map_keys adds their coefficients instead."""
+    terms = {t.relabel(mapping): c for t, c in e.terms.items()}
+    if len(terms) < len(e.terms):
+        return e.map_keys(lambda t: t.relabel(mapping))
+    return _from_terms(DendElement, terms)
 
 
 def _graft(outer: DendElement, slot, inner: DendElement) -> DendElement:
     """Evaluate outer with `slot` bound to inner and all other letters
     kept as generators.  outer is multilinear: each of its trees carries
-    the same letters, so they are read off one tree, and the slot at
-    most once.
+    the slot at most once.
 
-    Only the subtree at the slot is evaluated, with eval_pbt.  On trees
-    l, u and r the vee-recursion gives l > (a < u) = (l a u) and
-    (u > a) < r = (u a r), so each node above the slot maps every tree
-    u of the value below it to one tree, (l a u) when the slot is on its
-    right and (u a r) when it is on its left; distinct trees u give
-    distinct trees.  A tree without the slot is returned unchanged."""
-    assign = {
-        name: inner if name == slot else DendElement.generator(name)
-        for name in next(iter(outer.terms), LEAF).decorations()
-    }
+    Only the slot's node is evaluated, with eval_pbt on {slot: inner}:
+    its subtrees l and r carry no assigned letter, so they stand for
+    themselves and the node costs the two products inner < r and
+    l > (inner < r).  On trees l, u and r the vee-recursion gives
+    l > (a < u) = (l a u) and (u > a) < r = (u a r), so each node above
+    the slot maps every tree u of the value below it to one tree,
+    (l a u) when the slot is on its right and (u a r) when it is on its
+    left; distinct trees u give distinct trees.  A tree without the slot
+    is returned unchanged."""
+    assign = {slot: inner}
     parts = []
     for t, c in outer.terms.items():
         value = _graft_tree(t, slot, assign)
@@ -263,7 +269,7 @@ def ideal_closure(generators, max_arity: int) -> dict:
             return
         row = spans[n].insert(positive_body(e))
         if row is not None:
-            work.append((n, DendElement(row)))
+            work.append((n, _from_terms(DendElement, row.terms)))
 
     for n, gens in generators.items():
         if n > max_arity:

@@ -571,7 +571,8 @@ def suite_cmm(bound=4):
 
 
 class SuiteError(ValueError):
-    """An unknown suite, or a bound below the suite's smallest one."""
+    """An unknown suite, a bound that is not an int (bool included), or
+    a bound below the suite's smallest one."""
 
 
 # name: (suite, default bound, smallest bound at which the suite's
@@ -605,6 +606,8 @@ def run_suite(name, bound=None) -> dict:
         raise SuiteError("unknown suite %r (known: %s)" % (name, ", ".join(sorted(SUITES))))
     func, default, smallest = SUITES[name]
     bound = default if bound is None else bound
+    if not isinstance(bound, int) or isinstance(bound, bool):
+        raise SuiteError("suite %s takes an int bound, got %r" % (name, bound))
     if bound < smallest:
         raise SuiteError(
             "suite %s checks nothing below bound %d, got %d" % (name, smallest, bound)

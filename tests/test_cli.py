@@ -460,6 +460,17 @@ def test_suite_below_its_smallest_bound_exit_2():
             run_suite(name, smallest - 1)
 
 
+def test_suite_bound_that_is_not_an_int_is_refused(monkeypatch):
+    # refused before the suite runs; a bool is not taken for 0 or 1
+    ran = []
+    monkeypatch.setitem(SUITES, "probe", (lambda bound: ran.append(bound) or ({}, []), 1, 1))
+    for name in ("probe", "coprod-mont"):
+        for bound in (2.5, "3", True, False):
+            with pytest.raises(SuiteError, match="int bound"):
+                run_suite(name, bound)
+    assert ran == []
+
+
 def test_cmm_under_optimize():
     argv = ["--output", "json", "verify", "--suite", "cmm", "--bound", "3"]
     out = subprocess.run(

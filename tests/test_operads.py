@@ -5,8 +5,27 @@ from math import comb, factorial
 import pytest
 
 from treealg.linalg import LinComb, Span
-from treealg.trees import LEAF, catalan, parse_planar, parse_rooted, planar_trees, rooted_trees
-from treealg.dendriform import DendElement, dprec, dsucc, psi_corolla, psi_eval, substitute
+from treealg.trees import (
+    LEAF,
+    PBT,
+    catalan,
+    parse_planar,
+    parse_rooted,
+    pbt_basis,
+    planar_trees,
+    rooted_trees,
+)
+from treealg import dendriform
+from treealg.dendriform import (
+    DEND_ONE,
+    DendElement,
+    UnitProductError,
+    dprec,
+    dsucc,
+    eval_pbt,
+    psi_corolla,
+    psi_eval,
+)
 from treealg.operads import (
     _graft,
     brace_relation_defect,
@@ -296,14 +315,84 @@ def test_corolla_shape():
     assert str(c) == "1(2,3,4)"
 
 
+def old_eval_pbt(t, assign) -> DendElement:
+    """eval_pbt as it was before a letter absent from assign stood for
+    itself: a verbatim copy, the oracle of the tests below."""
+    if t.is_leaf():
+        return DEND_ONE
+    mid = assign[t.label]
+    if not t.right.is_leaf():
+        mid = dprec(mid, old_eval_pbt(t.right, assign))
+    if not t.left.is_leaf():
+        mid = dsucc(old_eval_pbt(t.left, assign), mid)
+    return mid
+
+
 def old_graft(outer: DendElement, slot, inner: DendElement) -> DendElement:
-    """_graft as it was before it evaluated only the slot's subtree: a
-    verbatim copy, the oracle of the test below."""
+    """_graft as it was before it evaluated only the slot's subtree, with
+    substitute inlined on old_eval_pbt, so that it runs no eval_pbt."""
     assign = {
         name: inner if name == slot else DendElement.generator(name)
         for name in next(iter(outer.terms), LEAF).decorations()
     }
-    return substitute(outer, assign)
+    return DendElement.sum((old_eval_pbt(t, assign), c) for t, c in outer.terms.items())
+
+
+def _outcome(evaluate, t, assign):
+    """The value of evaluate(t, assign), or the class of its error: a
+    unit in the assignment can form 1<1 or 1>1."""
+    try:
+        return evaluate(t, assign)
+    except UnitProductError as exc:
+        return type(exc)
+
+
+def _trees_up_to(degree, alphabet):
+    return [t for d in range(1, degree + 1) for t in pbt_basis(d, alphabet)]
+
+
+def test_eval_pbt_matches_old_on_full_assignments():
+    # every tree of degree <= 4 over two letters, each letter assigned
+    # a value with a unit part, a Fraction coefficient or zero
+    x, y = DendElement.generator("x"), DendElement.generator("y")
+    values = [
+        DEND_ONE + dprec(x, y),
+        dsucc(y, x).scale(Fraction(-2, 3)) + x,
+        DendElement(),
+        DEND_ONE.scale(Fraction(1, 2)),
+        x,
+    ]
+    trees = _trees_up_to(4, "ab")
+    assert len(trees) == 2 + 8 + 40 + 224
+    for a in values:
+        for b in values:
+            assign = {"a": a, "b": b}
+            for t in trees:
+                assert _outcome(eval_pbt, t, assign) == _outcome(old_eval_pbt, t, assign), (t, a, b)
+
+
+def test_partial_assignment_keeps_the_other_letters():
+    # a letter absent from assign is its own generator
+    x, y = DendElement.generator("x"), DendElement.generator("y")
+    values = [dprec(x, y) + dsucc(y, x).scale(Fraction(1, 3)), x.scale(-2), DendElement()]
+    for t in _trees_up_to(4, "abc"):
+        for letter in "abc":
+            for value in values:
+                full = {a: DendElement.generator(a) for a in "abc"}
+                full[letter] = value
+                assert eval_pbt(t, {letter: value}) == old_eval_pbt(t, full), (t, letter)
+
+
+def test_tree_without_an_assigned_letter_is_itself(monkeypatch):
+    def no_product(x, y):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(dendriform, "dprec", no_product)
+    monkeypatch.setattr(dendriform, "dsucc", no_product)
+    x = DendElement.generator("x")
+    for t in _trees_up_to(4, "ab") + [LEAF]:
+        for assign in ({}, {"c": x}):
+            assert eval_pbt(t, assign).terms == {t: 1}, (t, assign)
 
 
 def test_graft_matches_old():
@@ -323,3 +412,17 @@ def test_graft_matches_old():
     for slot in "123":
         for inner in inners:
             assert _graft(outer, slot, inner) == old_graft(outer, slot, inner)
+
+
+def test_relabel_element_permutes_and_merges():
+    x, y, z = (DendElement.generator(a) for a in "xyz")
+    e = dprec(x, y).scale(3) + dsucc(y, z).scale(Fraction(1, 2)) - psi_corolla([x, y, z])
+    cycle = {"x": "y", "y": "z", "z": "x"}
+    assert relabel_element(e, cycle) == e.map_keys(lambda t: t.relabel(cycle))
+    # merging y into x: x<y and y<x meet and add, and a pair that meets
+    # with opposite coefficients vanishes
+    merge = {"y": "x"}
+    xx = PBT(LEAF, "x", PBT(LEAF, "x", LEAF))
+    e = dprec(x, y).scale(3) + dprec(y, x).scale(Fraction(1, 2)) + dsucc(y, z)
+    assert relabel_element(e, merge) == DendElement([(xx, Fraction(7, 2))]) + dsucc(x, z)
+    assert relabel_element(dprec(x, y) - dprec(y, x), merge).is_zero()

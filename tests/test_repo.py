@@ -235,13 +235,13 @@ def _walks_decorations(node) -> bool:
 
 def test_decorations_walked_off_the_hot_path():
     # DendSpan.wdeg reads its table and walks a tree's decorations only
-    # for a tree off it; the other walks read letters, not degrees
+    # for a tree off it; _graft assigns the slot alone and reads no letters
     found = sorted(
         (path.name, owner)
         for path in sorted((ROOT / "src" / "treealg").glob("*.py"))
         for owner in _owners(ast.parse(path.read_text(), str(path)), _walks_decorations)
     )
-    assert found == [("dendriform.py", "wdeg"), ("operads.py", "_graft")]
+    assert found == [("dendriform.py", "wdeg")]
 
 
 def test_echelon_read_in_linalg_only():
@@ -306,6 +306,7 @@ OPTIMIZED_CHECKS = """
 from treealg.bialgebra import compat_defect, primitives, reduced_coproduct
 from treealg.dendriform import DendElement, pli, psi_corolla
 from treealg.operads import brace_relation_defect
+from treealg.suites import SuiteError, run_suite
 from treealg.trees import (
     DuplicateLabelError, pbt_basis, pbt_shapes, planar_shapes, planar_trees,
 )
@@ -324,6 +325,9 @@ calls = {
     "planar_trees duplicate": (lambda: planar_trees(["1", "1"]), DuplicateLabelError),
     "pbt_shapes(-1)": (lambda: pbt_shapes(-1), ValueError),
     "pbt_basis(0, 'a')": (lambda: pbt_basis(0, "a"), ValueError),
+    "run_suite float bound": (lambda: run_suite("coprod-mont", 2.5), SuiteError),
+    "run_suite str bound": (lambda: run_suite("coprod-mont", "3"), SuiteError),
+    "run_suite bool bound": (lambda: run_suite("coprod-mont", True), SuiteError),
 }
 missed = []
 for name, (call, error) in calls.items():
