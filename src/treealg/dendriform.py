@@ -221,18 +221,42 @@ def psi_eval(op, args) -> DendElement:
     args[i] substitutes for label str(i+1).  A tree acts through its
     unique decomposition into corollas grafted at leaves: the root
     corolla applies to (root argument, values of the child subtrees).
+    A label with no argument raises ValueError.
     """
-    combo = LinComb.single(op) if isinstance(op, PlanarTree) else op
+    return psi_evaluator(args)(op)
+
+
+def psi_evaluator(args):
+    """psi_eval(., args) as a function that evaluates each planar
+    subtree once: it keeps the value of every proper subtree it meets,
+    so operations that share subtrees share their work.  A whole tree
+    is not kept, as operations seldom repeat one and its value is the
+    largest.  The memo lives as long as the function, which the caller
+    drops with its letters."""
     assign = {str(i + 1): x for i, x in enumerate(args)}
-    return DendElement.sum((_psi_tree(t, assign), c) for t, c in combo.terms.items())
+    memo = {}
+
+    def evaluate(op) -> DendElement:
+        combo = LinComb.single(op) if isinstance(op, PlanarTree) else op
+        return DendElement.sum((_psi_tree(t, assign, memo), c) for t, c in combo.terms.items())
+
+    return evaluate
 
 
-def _psi_tree(t: PlanarTree, assign) -> DendElement:
-    root = assign[t.label]
-    if not t.children:
-        return root
-    vals = [_psi_tree(c, assign) for c in t.children]
-    return psi_corolla([root] + vals)
+def _psi_tree(t: PlanarTree, assign, memo, keep=False) -> DendElement:
+    """psi of the tree t, read from memo or, when keep, stored there.
+    A module-level function, not a closure, so the evaluator makes no
+    reference cycle."""
+    value = memo.get(t)
+    if value is None:
+        value = assign.get(t.label)
+        if value is None:
+            raise ValueError("label %r has no argument among %d" % (t.label, len(assign)))
+        if t.children:
+            value = psi_corolla([value] + [_psi_tree(c, assign, memo, True) for c in t.children])
+        if keep:
+            memo[t] = value
+    return value
 
 
 def eval_pbt(t, assign) -> DendElement:

@@ -205,7 +205,10 @@ def combine(a: LinComb, c, b: LinComb) -> LinComb:
 
 
 def to_int_row(vec) -> dict:
-    """Clear denominators of a sparse int/Fraction row (positive scale)."""
+    """Clear denominators of a sparse int/Fraction row (positive scale).
+    A row of ints is returned as it is, not copied."""
+    if all(type(x) is int for x in vec.values()):
+        return vec
     mult = lcm(*(x.denominator for x in vec.values()))
     return {k: int(x * mult) for k, x in vec.items()}
 
@@ -294,7 +297,10 @@ class Span:
         return {self.index[k]: c for k, c in combo.terms.items()}
 
     def _combo(self, row) -> LinComb:
-        return LinComb((self.columns[i], row[i]) for i in sorted(row))
+        """The LinComb of a row; a row stores no zero, so its entries
+        are the terms as they are."""
+        columns = self.columns
+        return _from_terms(LinComb, {columns[i]: row[i] for i in sorted(row)})
 
     @property
     def rank(self):
@@ -343,4 +349,6 @@ def kernel_basis(columns, images):
             if k != p:
                 # in RREF every non-pivot entry sits in a free column
                 out[k][p] = Fraction(-x, r[p])
-    return [LinComb((columns[n - 1 - i], v[i]) for i in sorted(v)) for v in reversed(out.values())]
+    return [
+        _from_terms(LinComb, {columns[n - 1 - i]: v[i] for i in sorted(v)}) for v in reversed(out.values())
+    ]

@@ -17,6 +17,7 @@ from treealg.dendriform import (
     pli,
     psi_corolla,
     psi_eval,
+    psi_evaluator,
     upcomb,
 )
 from treealg.operads import (
@@ -27,6 +28,7 @@ from treealg.operads import (
     corolla_tree,
     ideal_closure,
     phi,
+    _graft,
 )
 from treealg import bialgebra, dendriform
 from treealg.bialgebra import (
@@ -44,29 +46,31 @@ def _gens(n):
     return [DendElement.generator(a) for a in generator_names(n)]
 
 
-def _psi_of_labeled(t, arity):
-    return psi_eval(t, [DendElement.generator(str(i)) for i in range(1, arity + 1)])
+def _labeled_psi(n):
+    """psi on the planar trees labelled 1..n, at the generators 1..n."""
+    return psi_evaluator([DendElement.generator(str(i)) for i in range(1, n + 1)])
 
 
-def _corolla_images(n):
-    """Images of the labeled corollas."""
+def _corolla_images(n, psi):
+    """Images of the labeled corollas under psi, a _labeled_psi(n)."""
     labels = [str(i) for i in range(1, n + 1)]
     return [
-        _psi_of_labeled(corolla_tree(root, perm), n)
+        psi(corolla_tree(root, perm))
         for root in labels
         for perm in permutations([x for x in labels if x != root])
     ]
 
 
-def _prelie_images(n):
-    """Images of the symmetrized labeled rooted trees."""
-    return [_psi_of_labeled(phi(t), n) for t in rooted_trees([str(i) for i in range(1, n + 1)])]
+def _prelie_images(n, psi):
+    """Images of the symmetrized labeled rooted trees under psi, a
+    _labeled_psi(n)."""
+    return [psi(phi(t)) for t in rooted_trees([str(i) for i in range(1, n + 1)])]
 
 
 @lru_cache(maxsize=None)
 def zinbiel_ideal(max_arity):
     """Two-sided closure of the arity-2 corolla images, per arity."""
-    return ideal_closure({2: _corolla_images(2)}, max_arity)
+    return ideal_closure({2: _corolla_images(2, _labeled_psi(2))}, max_arity)
 
 
 def _sides_agree(left, op, z, x, op2, right):
@@ -251,7 +255,13 @@ def suite_psi_morphism(bound=4):
     """The corolla images satisfy the brace relations in the free
     dendriform algebra, the evaluation commutes with composition, and
     the sign convention is pinned down by both requirements: psi_corolla
-    (convention 1) meets both, its negative (convention 0) neither."""
+    (convention 1) meets both, its negative (convention 0) neither.
+
+    Composition is checked as psi(T o_i S) = psi(T) with psi(S) in the
+    slot i: the left side evaluates the composed trees, and the right
+    side substitutes psi(S) for the letter i of psi(T) with _graft,
+    since substituting a letter is an algebra map of the free algebra.
+    One evaluator per letter set 1..p+q shares its subtree values."""
     defects = []
     x, y = DendElement.generator("x"), DendElement.generator("y")
     target = dprec(x, y) - dsucc(y, x)
@@ -272,14 +282,15 @@ def suite_psi_morphism(bound=4):
     comp_checks = 0
     for p in range(1, bound):
         for q in range(1, bound + 2 - p):
-            gens = [DendElement.generator(str(i)) for i in range(1, p + q + 1)]
+            psi = _labeled_psi(p + q)
             for T in planar_trees([str(i) for i in range(1, p + 1)]):
+                outer = psi(T)
                 for S in planar_trees([str(i) for i in range(p + 1, p + q + 1)]):
-                    inner = psi_eval(S, gens)
+                    inner = psi(S)
                     for i in range(1, p + 1):
                         comp_checks += 1
-                        lhs = psi_eval(compose_ape(T, str(i), S), gens)
-                        rhs = psi_eval(T, gens[: i - 1] + [inner] + gens[i:p])
+                        lhs = psi(compose_ape(T, str(i), S))
+                        rhs = _graft(outer, str(i), inner)
                         if lhs != rhs:
                             defects.append({"outer": str(T), "inner": str(S), "slot": i})
     return {"sign_oracle": {str(k): v for k, v in sign_report.items()}, "compositions": comp_checks}, defects
@@ -330,7 +341,8 @@ def suite_zin_quotient(bound=4):
     for n in range(2, bound + 1):
         if dims[n] != factorial(n):
             defects.append({"arity": n, "quotient_dim": dims[n], "expected": factorial(n)})
-        brace, prelie = _corolla_images(n), _prelie_images(n)
+        psi = _labeled_psi(n)
+        brace, prelie = _corolla_images(n, psi), _prelie_images(n, psi)
         if (n == 2 and set(brace) != set(prelie)) or not all(
             spans[n].contains(g) for g in brace + prelie
         ):

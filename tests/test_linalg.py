@@ -256,6 +256,78 @@ def test_to_int_row_clears_denominators():
     assert to_int_row({1: 2, 2: -1}) == {1: 2, 2: -1}
 
 
+def test_to_int_row_returns_an_int_row_as_it_is():
+    row = {1: 2, 2: -1}
+    assert to_int_row(row) is row
+    # a Fraction with denominator 1 is not an int: the row is converted
+    out = to_int_row({1: Fraction(2), 2: -1})
+    assert out == {1: 2, 2: -1} and {type(x) for x in out.values()} == {int}
+
+
+def test_insert_keeps_its_row_when_the_caller_mutates_an_int_row():
+    # to_int_row hands an int row on uncopied, so the echelon must copy
+    # it: here the stored row would otherwise be the caller's dict
+    span = EchelonSpan()
+    row = {0: 1, 2: 3}
+    stored = span.insert(row)
+    assert stored == {0: 1, 2: 3}
+    row[0], row[5] = 7, 1
+    assert span.rows == {0: {0: 1, 2: 3}} and stored == {0: 1, 2: 3}
+    other = {1: 2, 2: -4}
+    span.insert(other)
+    del other[1]
+    assert span.rows[1] == {1: 1, 2: -2}
+    assert span.contains({0: 1, 2: 3}) and not span.contains({0: 7, 2: 3, 5: 1})
+
+
+def old_combo(span, row):
+    """Span._combo before it skipped LinComb.__init__."""
+    return LinComb((span.columns[i], row[i]) for i in sorted(row))
+
+
+def _stores_no_zero_in_column_order(combo, columns):
+    order = {k: i for i, k in enumerate(columns)}
+    keys = list(combo.terms)
+    return (
+        type(combo) is LinComb
+        and all(type(c) is int or type(c) is Fraction for c in combo.terms.values())
+        and all(combo.terms.values())
+        and keys == sorted(keys, key=order.__getitem__)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3)]), min_size=5, max_size=5),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
+)
+def test_span_combos_store_no_zero_and_equal_the_lincomb_route(rows, vec):
+    columns = list("vwxyz")
+    span = Span(columns)
+    for r in rows:
+        combo = LinComb(zip(columns, r))
+        rest = span.insert(combo)
+        if rest is not None:
+            assert _stores_no_zero_in_column_order(rest, columns)
+            assert rest == old_combo(span, span.echelon.rows[span.index[next(iter(rest.terms))]])
+    for b, r in zip(span.basis(), span.echelon.rref_rows()):
+        assert _stores_no_zero_in_column_order(b, columns) and b == old_combo(span, r)
+    v = LinComb(zip(columns, vec))
+    reduced = span.reduce(v)
+    assert _stores_no_zero_in_column_order(reduced, columns)
+    assert reduced == old_combo(span, span.echelon.reduce_exact(span._vec(v)))
+    images = [LinComb(zip(range(len(rows)), col)) for col in zip(*rows)]
+    kernel = kernel_basis(columns, images)
+    for k in kernel:
+        # kernel vectors list their keys in reversed column order
+        assert _stores_no_zero_in_column_order(k, columns[::-1]) and k == LinComb(k.terms.items())
+    assert len(kernel) == len(columns) - span.rank
+
+
 def test_rational_string_forms():
     assert str(Fraction(-1, 2)) == "-1/2"
     assert str(Fraction(4, 2)) == "2"

@@ -304,11 +304,11 @@ def test_envelope_primitives_builds_no_span():
 
 OPTIMIZED_CHECKS = """
 from treealg.bialgebra import compat_defect, primitives, reduced_coproduct
-from treealg.dendriform import DendElement, pli, psi_corolla
+from treealg.dendriform import DendElement, pli, psi_corolla, psi_eval
 from treealg.operads import brace_relation_defect
 from treealg.suites import SuiteError, run_suite
 from treealg.trees import (
-    DuplicateLabelError, pbt_basis, pbt_shapes, planar_shapes, planar_trees,
+    DuplicateLabelError, parse_planar, pbt_basis, pbt_shapes, planar_shapes, planar_trees,
 )
 assert False, "this runner must run under python -O"
 
@@ -318,6 +318,7 @@ calls = {
     "compat_defect side": (lambda: compat_defect(a, a, "?"), ValueError),
     "compat_defect unit": (lambda: compat_defect(DendElement.one() + a, a, "<"), ValueError),
     "psi_corolla([a])": (lambda: psi_corolla([a]), ValueError),
+    "psi_eval label without argument": (lambda: psi_eval(parse_planar("1(2)"), [a]), ValueError),
     "reduced_coproduct(1 + a)": (lambda: reduced_coproduct(DendElement.one() + a), ValueError),
     "pli(0, 1)": (lambda: pli(0, 1), ValueError),
     "brace_relation_defect(0, 1)": (lambda: brace_relation_defect(0, 1), ValueError),

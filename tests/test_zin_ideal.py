@@ -15,8 +15,8 @@ from treealg.suites import suite_zin_quotient
 
 
 def _outside_generator_at_arity3(images):
-    def patched(n):
-        out = images(n)
+    def patched(n, psi):
+        out = images(n, psi)
         return out + [DendElement.from_tree(multilinear_basis(3)[0])] if n == 3 else out
 
     return patched
@@ -24,8 +24,8 @@ def _outside_generator_at_arity3(images):
 
 def _scaled_generator_at_arity2(images):
     # still in the ideal, so only the literal arity-2 set check sees it
-    def patched(n):
-        out = images(n)
+    def patched(n, psi):
+        out = images(n, psi)
         return [out[0].scale(2)] + out[1:] if n == 2 else out
 
     return patched
